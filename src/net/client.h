@@ -94,7 +94,8 @@ class Client {
   std::string server_software_;
   std::vector<uint8_t> rbuf_;
 
-  /// Fully terminated responses read while looking for a different id.
+  /// Responses (rows so far, and the end once `done`) read while looking
+  /// for a different id.
   struct BufferedResponse {
     std::vector<Hit> rows;
     Status status;

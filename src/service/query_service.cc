@@ -163,9 +163,10 @@ Result<CachedPlan> QueryService::PrepareCompiled(const Session& session,
   return entry;
 }
 
-Result<CachedPlanPtr> QueryService::GetPlanIn(const Session& session,
-                                              const std::string& query) {
-  const std::string key = NormalizeQueryText(query);
+Result<CachedPlanPtr> QueryService::ProbePlan(const Session& session,
+                                              const std::string& key,
+                                              ExecPlan* compiled,
+                                              uint64_t* fingerprint) {
   if (CachedPlanPtr cached = session.cache.Get(key)) {
     if (cached->negative()) return cached->error;
     return cached;
@@ -173,29 +174,48 @@ Result<CachedPlanPtr> QueryService::GetPlanIn(const Session& session,
   // Compile outside the cache lock, then probe the structural level: a
   // respelling of a cached structure binds to the existing entry and
   // shares its prepared plans and memos without a sql::Prepare.
-  Result<ExecPlan> compiled = CompileQuery(session, key);
-  if (!compiled.ok()) {
+  Result<ExecPlan> plan = CompileQuery(session, key);
+  if (!plan.ok()) {
     // Negative entry: the same bad text will be answered from the cache.
-    session.cache.PutNegative(key, compiled.status());
-    return compiled.status();
+    session.cache.PutNegative(key, plan.status());
+    return plan.status();
   }
-  const uint64_t fingerprint = sql::PlanFingerprint(*compiled);
+  *fingerprint = sql::PlanFingerprint(*plan);
   if (CachedPlanPtr shared =
-          session.cache.GetByFingerprint(key, fingerprint, *compiled)) {
+          session.cache.GetByFingerprint(key, *fingerprint, *plan)) {
     return shared;
   }
-  // A racing miss duplicates the prepare; Put publishes the first bundle
-  // and the racer adopts it (bundles of one structure are
-  // interchangeable).
-  Result<CachedPlan> prepared = PrepareCompiled(session, *compiled);
+  *compiled = std::move(*plan);
+  return CachedPlanPtr(nullptr);
+}
+
+Result<CachedPlanPtr> QueryService::PreparePlan(const Session& session,
+                                                const std::string& key,
+                                                uint64_t fingerprint,
+                                                ExecPlan compiled) {
+  Result<CachedPlan> prepared = PrepareCompiled(session, compiled);
   if (!prepared.ok()) {
     session.cache.PutNegative(key, prepared.status());
     return prepared.status();
   }
   prepared->fingerprint = fingerprint;
   auto entry = std::make_shared<const CachedPlan>(std::move(*prepared));
-  return session.cache.Put(key, fingerprint, std::move(*compiled),
+  return session.cache.Put(key, fingerprint, std::move(compiled),
                            std::move(entry));
+}
+
+Result<CachedPlanPtr> QueryService::GetPlanIn(const Session& session,
+                                              const std::string& query) {
+  const std::string key = NormalizeQueryText(query);
+  ExecPlan compiled;
+  uint64_t fingerprint = 0;
+  LPATH_ASSIGN_OR_RETURN(CachedPlanPtr planned,
+                         ProbePlan(session, key, &compiled, &fingerprint));
+  if (planned != nullptr) return planned;
+  // A racing miss duplicates the prepare; Put publishes the first bundle
+  // and the racer adopts it (bundles of one structure are
+  // interchangeable).
+  return PreparePlan(session, key, fingerprint, std::move(compiled));
 }
 
 Result<std::shared_ptr<const sql::PreparedPlan>> QueryService::GetPlan(
@@ -533,12 +553,16 @@ std::vector<Result<QueryResult>> QueryService::QueryBatch(
   SessionPtr session = CurrentSession();
 
   // Coalescing, stage 1: group members by normalized text (exact
-  // respellings collapse for free) and resolve each distinct text once —
-  // in parallel, since cache misses carry the parse/compile/prepare cost.
+  // respellings collapse for free) and probe the cache for each distinct
+  // text once — in parallel, since cache misses carry the parse/compile
+  // cost. A text the cache cannot answer keeps its compiled plan.
   struct TextGroup {
     std::string key;
     std::vector<int> members;
+    /// OK(null) while the text awaits a prepare.
     Result<CachedPlanPtr> planned = Result<CachedPlanPtr>(nullptr);
+    ExecPlan compiled;
+    uint64_t fingerprint = 0;
   };
   std::vector<TextGroup> texts;
   {
@@ -555,10 +579,62 @@ std::vector<Result<QueryResult>> QueryService::QueryBatch(
   }
   RunOnPool(static_cast<int>(texts.size()), pool_->size(),
             [this, &session, &texts](int i, int /*worker*/) {
-    texts[i].planned = GetPlanIn(*session, texts[i].key);
+    TextGroup& text = texts[i];
+    text.planned = ProbePlan(*session, text.key, &text.compiled,
+                             &text.fingerprint);
+  });
+  const auto awaits_prepare = [](const TextGroup& text) {
+    return text.planned.ok() && *text.planned == nullptr;
+  };
+
+  // Stage 2: texts awaiting a prepare group by structure — the fingerprint
+  // narrows, PlanEquals decides — so each structure prepares once, before
+  // any of its spellings could race another into a second prepare. The
+  // first text of a structure prepares and publishes; the others bind to
+  // the published entry.
+  std::vector<std::vector<size_t>> structures;
+  {
+    std::unordered_map<uint64_t, std::vector<size_t>> by_fingerprint;
+    for (size_t t = 0; t < texts.size(); ++t) {
+      if (!awaits_prepare(texts[t])) continue;
+      std::vector<size_t>& candidates = by_fingerprint[texts[t].fingerprint];
+      const auto same = std::find_if(
+          candidates.begin(), candidates.end(), [&](size_t s) {
+            return sql::PlanEquals(texts[structures[s].front()].compiled,
+                                   texts[t].compiled);
+          });
+      if (same != candidates.end()) {
+        structures[*same].push_back(t);
+      } else {
+        candidates.push_back(structures.size());
+        structures.push_back({t});
+      }
+    }
+  }
+  RunOnPool(static_cast<int>(structures.size()), pool_->size(),
+            [this, &session, &texts, &structures](int s, int /*worker*/) {
+    const std::vector<size_t>& spellings = structures[s];
+    TextGroup& lead = texts[spellings.front()];
+    lead.planned = PreparePlan(*session, lead.key, lead.fingerprint,
+                               std::move(lead.compiled));
+    for (size_t k = 1; k < spellings.size(); ++k) {
+      TextGroup& text = texts[spellings[k]];
+      if (!lead.planned.ok()) {
+        session->cache.PutNegative(text.key, lead.planned.status());
+        text.planned = lead.planned.status();
+        continue;
+      }
+      CachedPlanPtr shared = session->cache.GetByFingerprint(
+          text.key, text.fingerprint, text.compiled);
+      text.planned = shared != nullptr
+                         ? shared
+                         : session->cache.Put(text.key, text.fingerprint,
+                                              std::move(text.compiled),
+                                              *lead.planned);
+    }
   });
 
-  // Stage 2: distinct texts that resolved to the same cache entry —
+  // Stage 3: distinct texts that resolved to the same cache entry —
   // structurally identical spellings — merge into one execution group.
   // Entry identity is pointer identity: the cache binds equal structures
   // to one shared CachedPlan.
@@ -591,7 +667,7 @@ std::vector<Result<QueryResult>> QueryService::QueryBatch(
     }
   }
 
-  // Stage 3: workers claim whole groups; each group executes its plan
+  // Stage 4: workers claim whole groups; each group executes its plan
   // once, serially (so concurrent groups do not contend over intra-query
   // morsels), and the result fans out to every member.
   RunOnPool(static_cast<int>(groups.size()), pool_->size(),

@@ -226,7 +226,9 @@ class QueryService {
                       SubmitOptions opts);
 
   /// Evaluates a batch of LPath queries, spreading them over the pool
-  /// workers; results are positionally aligned with `queries`.
+  /// workers; results are positionally aligned with `queries`. Each
+  /// structure not yet cached is prepared exactly once, however many
+  /// spellings of it the batch holds.
   std::vector<Result<QueryResult>> QueryBatch(
       const std::vector<std::string>& queries);
 
@@ -299,6 +301,18 @@ class QueryService {
   /// a full prepare published via Put.
   Result<CachedPlanPtr> GetPlanIn(const Session& session,
                                   const std::string& query);
+  /// GetPlanIn's cache levels for normalized `key`, short of a prepare:
+  /// the text entry, or a structural match of the compiled text. Returns
+  /// OK(null) on a miss of both, with the compiled plan and its
+  /// fingerprint left in the out-params for PreparePlan.
+  Result<CachedPlanPtr> ProbePlan(const Session& session,
+                                  const std::string& key, ExecPlan* compiled,
+                                  uint64_t* fingerprint);
+  /// Prepares `compiled` and publishes it under `key` (an error is cached
+  /// as a negative entry). Returns the published bundle.
+  Result<CachedPlanPtr> PreparePlan(const Session& session,
+                                    const std::string& key,
+                                    uint64_t fingerprint, ExecPlan compiled);
   /// Parse + compile (+ optional SQL text round trip) of normalized text.
   Result<ExecPlan> CompileQuery(const Session& session,
                                 const std::string& normalized);

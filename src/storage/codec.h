@@ -1,8 +1,8 @@
-// Lightweight column compression for the relation's persistent images and
-// the vectorized executor, in the style of Abadi-style column codecs:
-// cheap to decode (a handful of shifts and adds per value), block-oriented
-// so decode fuses into a batch scan, and picked per column by measured
-// encoded size rather than by type.
+// Lightweight column compression for the relation's persistent images, in
+// the style of Abadi-style column codecs: cheap to decode (a handful of
+// shifts and adds per value), block-oriented, and picked per column by
+// measured encoded size rather than by type. ImageIO::Open decodes every
+// encoded column once into an arena; nothing decodes at query time.
 //
 //   kRaw     — the column's verbatim 32-bit words (v1 images, incompressible
 //              columns). Not represented as encoded bytes; a raw section is
@@ -15,8 +15,7 @@
 //   kRle     — run-length over the 32-bit words as (exclusive end, value)
 //              pairs. The name column is a handful of runs by construction
 //              (the relation is clustered by name); the value column is
-//              kNoSymbol across every element row. Runs are binary
-//              searchable, so range decode is O(log runs + n).
+//              kNoSymbol across every element row.
 //
 // All codecs are value-preserving over the raw 32-bit patterns (signed
 // columns round-trip bit-exactly through unsigned arithmetic), and
@@ -43,22 +42,16 @@ enum class ColumnEncoding : uint32_t {
 
 const char* ColumnEncodingName(ColumnEncoding encoding);
 
-/// Values per bit-packed block; also the batch size of the vectorized
-/// executor, so one decoded block feeds exactly one selection-vector chunk.
+/// Values per bit-packed block.
 inline constexpr uint64_t kCodecBlockValues = 1024;
 
 /// A view of one encoded column — typically straight into a read-only
-/// image mapping. `bytes` is empty (and the view inert) for kRaw columns,
-/// which are served as verbatim arrays instead.
+/// image mapping. `bytes` is empty for kRaw columns, which are served as
+/// verbatim arrays instead.
 struct EncodedColumnView {
   ColumnEncoding encoding = ColumnEncoding::kRaw;
   uint64_t count = 0;              ///< logical number of 32-bit values
   std::span<const uint8_t> bytes;  ///< encoded payload (8-byte aligned)
-
-  /// True when there is a compressed payload to decode from.
-  bool encoded() const {
-    return encoding != ColumnEncoding::kRaw && count > 0;
-  }
 };
 
 /// Stateless encoder/decoder for 32-bit columns. All entry points treat
@@ -82,19 +75,12 @@ class ColumnCodec {
 
   /// Structural validation of an untrusted payload: block descriptors in
   /// bounds, widths <= 32, run ends strictly increasing and summing to
-  /// `count`, total size exact. After an OK here, every Decode*() below is
-  /// memory-safe over the view.
+  /// `count`, total size exact. After an OK here, Decode() is memory-safe
+  /// over the view.
   static Status Validate(const EncodedColumnView& column);
 
   /// Decodes the whole column; `out` must hold `column.count` values.
   static void Decode(const EncodedColumnView& column, uint32_t* out);
-
-  /// Decodes values [begin, begin + n) — the batch-scan entry point. The
-  /// caller keeps n <= kCodecBlockValues for one chunk, but any range
-  /// within the column is legal. Returns the number of codec blocks (or
-  /// runs) touched, for the executor's decode counters.
-  static uint64_t DecodeRange(const EncodedColumnView& column, uint64_t begin,
-                              uint64_t n, uint32_t* out);
 };
 
 }  // namespace lpath

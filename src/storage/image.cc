@@ -735,8 +735,7 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   // --- Encoded columns: validate, then decode into the backing's arena -----
   // Raw columns bind straight into the mapping; encoded ones are decoded
   // once here so every span accessor (and the binary searches behind the
-  // run/range lookups) work identically over both. The encoded views are
-  // kept alongside so the batch executor can fuse decode into its scans.
+  // run/range lookups) work identically over both.
   // Mapping hints (see ImageOpenOptions::madvise): the sections consumed
   // eagerly right below — encoded column payloads (decoded into the arena)
   // and the interner table (re-interned into the fresh corpus) — are
@@ -757,7 +756,6 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
 
   auto backing = std::make_shared<MappedBacking>();
   backing->file = file;
-  std::array<EncodedColumnView, kRelColEncodable> encoded_views{};
   std::array<std::span<const uint32_t>, kRelColEncodable> cols;
   for (uint32_t i = 0; i < kRelColEncodable; ++i) {
     const SectionEntryV2& e = table[i];
@@ -775,7 +773,6 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
     arena.resize(e.count);
     ColumnCodec::Decode(view, arena.data());
     cols[i] = std::span<const uint32_t>(arena);
-    encoded_views[i] = view;
   }
   const auto col_i32 = [&cols](uint32_t i) {
     return std::span<const int32_t>(
@@ -835,16 +832,11 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
 
   // The sanity scans above were the last sequential pass; from here on the
   // mapped sections are hit by binary searches and point lookups, where
-  // readahead only evicts useful pages. Encoded columns are excluded: their
-  // payloads were decoded into the arena and the batch scan re-reads them
-  // sequentially per block.
+  // readahead only evicts useful pages. Encoded column payloads are never
+  // read again: Open decoded them into the arena above.
   if (options.madvise) {
     for (uint32_t i = 0; i < kSectionCount; ++i) {
       if (i == kIdxInternerOffsets || i == kIdxInternerBlob) continue;
-      if (i < kRelColEncodable &&
-          table[i].encoding != static_cast<uint32_t>(ColumnEncoding::kRaw)) {
-        continue;
-      }
       AdviseRange(*file, table[i].offset, table[i].stored_bytes,
                   kAdviseRandom);
     }
@@ -866,7 +858,6 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   rel.name_ = cols[kIdxName];
   rel.value_ = cols[kIdxValue];
   rel.kind_ = SectionSpan<uint8_t>(*file, table[kIdxKind]);
-  rel.encoded_ = encoded_views;
   rel.runs_ = runs;
   rel.by_right_ = SectionSpan<Row>(*file, table[kIdxByRight]);
   rel.by_pid_ = SectionSpan<Row>(*file, table[kIdxByPid]);

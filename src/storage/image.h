@@ -153,9 +153,8 @@ class ImageIO {
   /// and section bounds, rebuilds the interner into a fresh (tree-less)
   /// corpus, and binds the relation's columns straight into the mapping —
   /// columns a v2 image stores encoded are decoded once into an owned
-  /// arena (and additionally exposed through NodeRelation::encoded() for
-  /// fused decode in the batch scan). Performs no labeling and no
-  /// sorting: cost is O(file size).
+  /// arena, and the executor reads them from there row at a time.
+  /// Performs no labeling and no sorting: cost is O(file size).
   ///
   /// The returned relation's corpus carries the dictionary but no trees —
   /// everything the SQL executor needs, but not the bracketed text

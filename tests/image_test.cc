@@ -253,12 +253,16 @@ TEST(ImageTest, V1ImagesStillOpenAndAnswerIdentically) {
   const std::string v2_path = dir.File("compat.v2.img");
   ImageSaveOptions v1_options;
   v1_options.format_version = 1;
-  ASSERT_TRUE(built->Save(v1_path, v1_options).ok());
+  ImageSaveStats v1_stats;
+  ASSERT_TRUE(built->Save(v1_path, v1_options, &v1_stats).ok());
   ASSERT_TRUE(built->Save(v2_path).ok());
+  ASSERT_EQ(v1_stats.columns.size(), kRelColEncodable);
+  for (const ImageSaveStats::Column& col : v1_stats.columns) {
+    EXPECT_EQ(col.encoding, ColumnEncoding::kRaw) << col.name;
+  }
 
   SnapshotPtr v1 = MustOpen(v1_path);
   SnapshotPtr v2 = MustOpen(v2_path);
-  EXPECT_FALSE(v1->relation().any_encoded());
   ExpectSameRelation(built->relation(), v1->relation());
   ExpectSameRelation(built->relation(), v2->relation());
   EXPECT_EQ(MustRun(v1->relation(), "//VP[//NP]"),
@@ -285,17 +289,17 @@ TEST(ImageTest, V2EncodesColumnsAndShrinksTheFile) {
   EXPECT_GE(stats.raw_file_bytes, fs::file_size(v1_path));
   EXPECT_GT(stats.raw_file_bytes, stats.file_bytes);
   ASSERT_EQ(stats.columns.size(), kRelColEncodable);
-  bool any_encoded = false;
+  bool saw_encoded = false;
   for (const ImageSaveStats::Column& col : stats.columns) {
     EXPECT_LE(col.stored_bytes,
               col.encoding == ColumnEncoding::kRaw ? col.raw_bytes
                                                    : col.raw_bytes - 1);
-    any_encoded |= col.encoding != ColumnEncoding::kRaw;
+    saw_encoded |= col.encoding != ColumnEncoding::kRaw;
   }
-  EXPECT_TRUE(any_encoded);
+  EXPECT_TRUE(saw_encoded);
 
   SnapshotPtr mapped = MustOpen(v2_path);
-  EXPECT_TRUE(mapped->relation().any_encoded());
+  ExpectSameRelation(built->relation(), mapped->relation());
 }
 
 TEST(ImageTest, ForcedRawV2MatchesAutoAnswers) {
@@ -304,9 +308,13 @@ TEST(ImageTest, ForcedRawV2MatchesAutoAnswers) {
   const std::string raw_path = dir.File("forced.raw.img");
   ImageSaveOptions raw_options;
   raw_options.encoding = ImageEncoding::kRaw;
-  ASSERT_TRUE(built->Save(raw_path, raw_options).ok());
+  ImageSaveStats stats;
+  ASSERT_TRUE(built->Save(raw_path, raw_options, &stats).ok());
+  ASSERT_EQ(stats.columns.size(), kRelColEncodable);
+  for (const ImageSaveStats::Column& col : stats.columns) {
+    EXPECT_EQ(col.encoding, ColumnEncoding::kRaw) << col.name;
+  }
   SnapshotPtr mapped = MustOpen(raw_path);
-  EXPECT_FALSE(mapped->relation().any_encoded());
   ExpectSameRelation(built->relation(), mapped->relation());
 }
 

@@ -2,7 +2,9 @@
 // handshake and version negotiation, a 150-query fuzz differential proving
 // the wire result bit-identical to the in-process db::Database::Query
 // result, pipelined multiplexing, cancellation, a malformed-frame battery,
-// admission control, idle timeouts, graceful shutdown and backpressure.
+// admission control, idle timeouts, graceful shutdown and backpressure,
+// plus a scripted peer that interleaves responses to pin down the client's
+// demultiplexing.
 // This suite runs under ThreadSanitizer in CI; the socketless framing unit
 // suite is net_frame_test.cc.
 
@@ -49,6 +51,14 @@ class RawConn {
  public:
   ~RawConn() {
     if (fd_ >= 0) ::close(fd_);
+  }
+
+  /// Takes ownership of an already connected socket (a scripted peer's
+  /// accepted end), with the same receive timeout Connect sets.
+  void Adopt(int fd) {
+    fd_ = fd;
+    timeval tv{5, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   }
 
   bool Connect(uint16_t port) {
@@ -231,6 +241,75 @@ TEST_F(NetTest, PipelinedQueriesMultiplexOneConnection) {
       EXPECT_EQ(got.hits, direct->hits) << queries[i];
     }
   }
+}
+
+// A scripted server interleaves two responses so that request 2's first
+// batch arrives while the client is still reading request 1, and request
+// 2's end arrives only after request 1 has finished. Pipeline must return
+// the buffered batch too, not just the rows read afterwards.
+TEST(NetClientTest, PipelineKeepsRowsBufferedBeforeTheirEnd) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  // Bounds the peer's accept too, so a client that never connects cannot
+  // hang the test.
+  timeval tv{5, 0};
+  ::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  const std::vector<Hit> first = {{0, 1}, {0, 2}};
+  const std::vector<Hit> second = {{3, 4}};
+  const std::vector<Hit> only = {{1, 7}};
+  bool scripted = false;
+  std::jthread peer([&] {
+    RawConn conn;
+    conn.Adopt(::accept(listener, nullptr, nullptr));
+    ::close(listener);
+    Frame frame;
+    if (!conn.ReadFrame(&frame) || frame.type != MsgType::kHello) return;
+    net::HelloPayload hello;
+    hello.software = "scripted-peer";
+    hello.max_inflight = 32;
+    if (!conn.WriteFrame(MsgType::kHello, 0, EncodeHello(hello))) return;
+    uint32_t ids[2] = {0, 0};
+    for (uint32_t& id : ids) {
+      if (!conn.ReadFrame(&frame) || frame.type != MsgType::kExecute) return;
+      id = frame.request_id;
+    }
+    const auto batch = [&conn](uint32_t id, const std::vector<Hit>& rows) {
+      return conn.WriteFrame(MsgType::kStreamBatch, id, net::EncodeBatch(rows));
+    };
+    const auto end = [&conn](uint32_t id, uint64_t rows) {
+      return conn.WriteFrame(MsgType::kStreamEnd, id,
+                             EncodeEnd({WireCode::kOk, "", rows}));
+    };
+    scripted = batch(ids[1], first) && batch(ids[0], only) &&
+               end(ids[0], only.size()) && batch(ids[1], second) &&
+               end(ids[1], first.size() + second.size());
+    conn.AwaitEof();
+  });
+
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", ntohs(addr.sin_port)).ok());
+  std::vector<Result<QueryResult>> piped =
+      client.Pipeline("scripted", {"//A", "//B"});
+  client = net::Client();  // closes the socket: the peer sees EOF
+  peer.join();
+  EXPECT_TRUE(scripted);
+  ASSERT_EQ(piped.size(), 2u);
+  ASSERT_TRUE(piped[0].ok()) << piped[0].status().ToString();
+  ASSERT_TRUE(piped[1].ok()) << piped[1].status().ToString();
+  EXPECT_EQ(piped[0]->hits, only);
+  std::vector<Hit> want = first;
+  want.insert(want.end(), second.begin(), second.end());
+  EXPECT_EQ(piped[1]->hits, want);
 }
 
 TEST_F(NetTest, PrepareWarmsThePlanCacheAndReportsErrors) {

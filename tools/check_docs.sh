@@ -1,7 +1,7 @@
 #!/bin/sh
 # Documentation consistency gate (CI: the "docs link-check" step).
 #
-# Two checks, both grep-based so the gate needs nothing beyond POSIX sh:
+# Three checks, all grep-based so the gate needs nothing beyond POSIX sh:
 #
 #   1. Every relative markdown link in README.md and docs/*.md must point
 #      at a file or directory that exists (anchors and external URLs are
@@ -11,6 +11,12 @@
 #      constant, message type, and wire code declared in
 #      src/net/protocol.h must be named in it. Catches protocol changes
 #      that skip the spec.
+#
+#   3. docs/OPERATIONS.md's executor table is the glossary of
+#      sql::ExecStats: every uint64_t field of the struct in
+#      src/sql/executor.h must be named in the table's counter column,
+#      and every backticked counter there must still be a field. Catches
+#      counters added without a gloss and glosses left behind by deletions.
 #
 # Exits nonzero listing every violation. Run from the repository root.
 set -u
@@ -61,6 +67,39 @@ if [ -f "$header" ] && [ -f "$spec" ]; then
 elif [ -f "$header" ]; then
   say "MISSING: $spec (normative spec for $header)"
   fail=1
+fi
+
+# --- 3. OPERATIONS.md glosses exactly the ExecStats counters -------------
+
+stats_header=src/sql/executor.h
+ops=docs/OPERATIONS.md
+if [ -f "$stats_header" ] && [ -f "$ops" ]; then
+  fields=$(
+    sed -n '/^struct ExecStats {/,/^};/p' "$stats_header" |
+      grep -o '^  uint64_t [a-z_0-9]*' | awk '{print $2}' | sort -u
+  )
+  # Counter column of the table under the "### Executor" heading: the
+  # backticked names between a row's first two pipes.
+  glossed=$(
+    sed -n '/^### Executor/,/^##/p' "$ops" | grep '^| `' |
+      cut -d'|' -f2 | grep -o '`[^`]*`' | tr -d '`' | sort -u
+  )
+  if [ -z "$fields" ] || [ -z "$glossed" ]; then
+    say "MISSING: ExecStats fields or the executor table in $ops"
+    fail=1
+  fi
+  for field in $fields; do
+    if ! printf '%s\n' "$glossed" | grep -qx "$field"; then
+      say "UNDOCUMENTED: ExecStats::$field is not in $ops's executor table"
+      fail=1
+    fi
+  done
+  for name in $glossed; do
+    if ! printf '%s\n' "$fields" | grep -qx "$name"; then
+      say "STALE: $ops's executor table names $name, not an ExecStats field"
+      fail=1
+    fi
+  done
 fi
 
 if [ "$fail" -ne 0 ]; then
