@@ -33,8 +33,13 @@ struct QueryResult {
   size_t count() const { return hits.size(); }
 
   /// Sorts and removes duplicates; engines call this before returning.
+  /// Hits that are already sorted (the executor's usual output, and the
+  /// concatenation of tid-ordered per-source or per-morsel results) skip
+  /// the sort, so normalizing twice costs one linear pass.
   void Normalize() {
-    std::sort(hits.begin(), hits.end());
+    if (!std::is_sorted(hits.begin(), hits.end())) {
+      std::sort(hits.begin(), hits.end());
+    }
     hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
   }
 

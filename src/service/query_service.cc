@@ -278,8 +278,9 @@ Result<QueryResult> QueryService::RunSerial(const Session& session,
   total.sources = static_cast<uint64_t>(nsources);
   RecordExec(total, /*sharded=*/false);
   if (!failure.ok()) return failure;
-  // Sources cover disjoint tid ranges, so the concatenation is already
-  // DISTINCT; Normalize restores the global sort order across the seam.
+  // Sources cover disjoint tid ranges and each result is sorted, so the
+  // concatenation is already DISTINCT and sorted; Normalize only verifies
+  // that in one linear pass.
   merged.Normalize();
   if (sink != nullptr && !merged.hits.empty()) {
     (*sink)(std::span<const Hit>(merged.hits));
@@ -423,7 +424,8 @@ Result<QueryResult> QueryService::RunSharded(const Session& session,
                        results[i]->hits.end());
   }
   // Distinct bindings in different morsels can project to the same output
-  // node; Normalize dedups the concatenation.
+  // node; Normalize dedups the concatenation (which needs no sort when the
+  // morsels' hits stay inside their own tid ranges).
   merged.Normalize();
   return merged;
 }

@@ -4,7 +4,6 @@
 #include <limits>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace lpath {
 namespace sql {
@@ -37,6 +36,15 @@ struct Bounds {
   int64_t right_lo = kMinInt, right_hi = kMaxInt;  // half-open
 };
 
+/// The last tree slice one (plan, position) slot probed. Every LPath step
+/// stays inside one tree, and consecutive outer bindings sit in the same
+/// tree or a later one, so most probes repeat or extend the previous one.
+struct SliceCursor {
+  bool valid = false;
+  int32_t tid = 0;
+  RowRange slice;
+};
+
 class Runner {
  public:
   Runner(const NodeRelation& rel, const ExecOptions& options, ExecStats* stats,
@@ -64,12 +72,10 @@ class Runner {
     Frame frame;
     frame.pp = &pp;
     frame.bound.assign(pp.plan.num_vars, kNoRow);
-    out_set_.clear();
+    cursors_.assign(pp.slot_count, SliceCursor{});
     Extend(frame, 0, out);
-    for (uint64_t key : out_set_) {
-      out->hits.push_back(Hit{static_cast<int32_t>(key >> 32),
-                              static_cast<int32_t>(key & 0xffffffffu)});
-    }
+    // Hits arrive mostly in (tid, id) order with repeats adjacent, so this
+    // usually skips the sort and dedups in one pass.
     out->Normalize();
     return Status::OK();
   }
@@ -223,8 +229,10 @@ class Runner {
     if (pos == static_cast<int>(pp.order.size())) {
       if (out != nullptr) {
         const Row r = f.bound[pp.plan.output_var];
-        out_set_.insert((static_cast<uint64_t>(rel_.tid(r)) << 32) |
-                        static_cast<uint32_t>(rel_.id(r)));
+        const Hit hit{rel_.tid(r), rel_.id(r)};
+        if (out->hits.empty() || out->hits.back() != hit) {
+          out->hits.push_back(hit);
+        }
       }
       return true;
     }
@@ -336,25 +344,56 @@ class Runner {
     return b;
   }
 
-  /// Static facts for variable v: name / kind equality with literals.
-  void StaticFacts(const PreparedPlan& pp, int v, Symbol* name,
-                   int* kind) const {
-    *name = kNoSymbol;
-    *kind = -1;
-    for (const Conjunct& c : pp.plan.conjuncts) {
-      if (!IsLocal(c.lhs) || c.lhs.var != v) continue;
-      if (!c.rhs.is_literal() || c.op != CmpOp::kEq) continue;
-      if (c.lhs.col == PlanCol::kName) *name = static_cast<Symbol>(c.rhs.num);
-      if (c.lhs.col == PlanCol::kKind) *kind = static_cast<int>(c.rhs.num);
+  /// First row in [from, end) whose tid fails `before`, which holds on a
+  /// prefix of the range: exponential probing from `from`, then a binary
+  /// search inside the last step — O(log distance), never a linear walk.
+  template <typename Pred>
+  Row Gallop(Row from, Row end, Pred before) const {
+    if (from >= end || !before(rel_.tid(from))) return from;
+    uint64_t lo = from;  // before(tid(lo)) holds
+    uint64_t step = 1;
+    while (lo + step < end && before(rel_.tid(static_cast<Row>(lo + step)))) {
+      lo += step;
+      step *= 2;
     }
+    uint64_t hi = std::min<uint64_t>(lo + step, end);
+    ++lo;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (before(rel_.tid(static_cast<Row>(mid)))) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return static_cast<Row>(lo);
+  }
+
+  /// The slice of run(name) holding tree t, through the cursor of `slot`:
+  /// the cached slice when t repeats, a forward gallop on the tid column
+  /// when t moved ahead, and a fresh binary search otherwise.
+  RowRange TreeSlice(int slot, Symbol name, int32_t t) {
+    SliceCursor& c = cursors_[slot];
+    if (c.valid && t == c.tid) return c.slice;
+    if (c.valid && t > c.tid) {
+      const Row end = rel_.run(name).end;
+      const Row lo = Gallop(c.slice.end, end, [t](int32_t x) { return x < t; });
+      const Row hi = Gallop(lo, end, [t](int32_t x) { return x <= t; });
+      c.slice = RowRange{lo, hi};
+    } else {
+      c.slice = rel_.RunForTree(name, t);
+    }
+    c.valid = true;
+    c.tid = t;
+    return c.slice;
   }
 
   template <typename Fn>
   void ForEachCandidate(const Frame& f, int pos, int v, Fn&& fn) {
     const PreparedPlan& pp = *f.pp;
-    Symbol name;
-    int kind;
-    StaticFacts(pp, v, &name, &kind);
+    const Symbol name = pp.var_name[v];
+    const int kind = pp.var_kind[v];
+    const int slot = pp.slot_base + pos;
     Bounds b = DeriveBounds(f, pos, v);
 
     // No direct tid conjunct available yet? Derive the tree through v's tid
@@ -436,7 +475,8 @@ class Runner {
     // 3. pid equality (children / siblings).
     if (b.has_pid && b.has_tid) {
       if (name != kNoSymbol) {
-        for (Row r : rel_.RunPidRange(name, b.tid, b.pid)) {
+        const RowRange tree = TreeSlice(slot, name, b.tid);
+        for (Row r : rel_.RunPidRange(tree, b.pid)) {
           if (fn(r)) return;
         }
         return;
@@ -459,15 +499,15 @@ class Runner {
     // clustered slice (or a by-right row list).
     if (name != kNoSymbol) {
       if (b.has_tid) {
+        const RowRange tree = TreeSlice(slot, name, b.tid);
         if (right_bounded && !left_bounded) {
-          for (Row r : rel_.RunRightRange(name, b.tid, right_lo, right_hi)) {
+          for (Row r : rel_.RunRightRange(tree, right_lo, right_hi)) {
             if (fn(r)) return;
           }
           return;
         }
         const RowRange range =
-            left_bounded ? rel_.RunLeftRange(name, b.tid, left_lo, left_hi)
-                         : rel_.RunForTree(name, b.tid);
+            left_bounded ? rel_.RunLeftRange(tree, left_lo, left_hi) : tree;
         for (Row r = range.begin; r < range.end; ++r) {
           if (fn(r)) return;
         }
@@ -514,7 +554,9 @@ class Runner {
   const PreparedPlan* root_pp_ = nullptr;
   int32_t shard_lo_ = 0;
   int32_t shard_hi_ = kMaxInt;
-  std::unordered_set<uint64_t> out_set_;
+  // One cursor per (plan, position) slot of the prepared nest; EXISTS
+  // re-entries reuse their subplan's cursors.
+  std::vector<SliceCursor> cursors_;
   std::unordered_map<const BoolExpr*, std::unordered_map<uint64_t, bool>>
       memo_;
 };

@@ -361,6 +361,12 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
   const ExecPlan& p = pp->plan;
 
   const std::vector<VarFacts> facts = HarvestFacts(p);
+  pp->var_name.resize(p.num_vars);
+  pp->var_kind.resize(p.num_vars);
+  for (int v = 0; v < p.num_vars; ++v) {
+    pp->var_name[v] = facts[v].name;
+    pp->var_kind[v] = facts[v].kind;
+  }
   pp->order = ChooseOrder(p, facts, rel, options.join_order);
   pp->root_cardinality =
       pp->order.empty()
@@ -465,6 +471,16 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
   return pp;
 }
 
+/// Assigns `pp` and its nested subplans consecutive cursor slot ranges
+/// starting at `next`; returns the first slot past the nest.
+int NumberSlots(PreparedPlan* pp, int next) {
+  pp->slot_base = next;
+  next += static_cast<int>(pp->order.size());
+  for (auto& entry : pp->subs) next = NumberSlots(entry.second.get(), next);
+  pp->slot_count = next - pp->slot_base;
+  return next;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
@@ -484,6 +500,7 @@ Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
       std::unique_ptr<PreparedPlan> pp,
       PrepareResolved(std::move(resolved), rel, options, always_empty));
   pp->fingerprint = fingerprint;
+  NumberSlots(pp.get(), 0);
   return pp;
 }
 

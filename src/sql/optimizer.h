@@ -12,7 +12,9 @@
 //   3. conjuncts are oriented (later-bound variable on the left) and
 //      scheduled at the position where they first become checkable;
 //   4. EXISTS subplans are prepared recursively, and their correlation
-//      variables identified for memoization.
+//      variables identified for memoization;
+//   5. per-variable static facts (literal name / kind) are recorded and
+//      every (plan, position) of the nest gets a dense cursor slot.
 
 #ifndef LPATHDB_SQL_OPTIMIZER_H_
 #define LPATHDB_SQL_OPTIMIZER_H_
@@ -52,6 +54,20 @@ struct PreparedPlan {
   std::vector<int> order;   ///< position -> variable
   std::vector<int> pos_of;  ///< variable -> position
   int output_pos = 0;
+
+  /// Per variable: the symbol of its literal `name =` conjunct (its tag
+  /// run), or kNoSymbol for a wildcard; and its literal `kind =` value, or
+  /// -1 when unconstrained. Static facts the executor's access-path choice
+  /// reads on every enumeration.
+  std::vector<Symbol> var_name;
+  std::vector<int> var_kind;
+
+  /// Executor cursor slots: position p of this plan owns slot
+  /// `slot_base + p`. Prepare numbers the positions of every plan in the
+  /// EXISTS nest densely, so the root's `slot_count` (this plan's slots
+  /// plus all nested ones) sizes a flat per-run cursor array.
+  int slot_base = 0;
+  int slot_count = 0;
 
   /// Conjuncts checkable once the variable at position p is bound
   /// (oriented: lhs.var is that variable whenever a local var is involved).

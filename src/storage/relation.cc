@@ -490,52 +490,41 @@ RowRange NodeRelation::RunTidRange(Symbol name, int32_t tid_lo,
   return RowRange{static_cast<Row>(lo - tb), static_cast<Row>(hi - tb)};
 }
 
-RowRange NodeRelation::RunLeftRange(Symbol name, int32_t t, int32_t left_lo,
+RowRange NodeRelation::RunLeftRange(RowRange tree, int32_t left_lo,
                                     int32_t left_hi) const {
-  const RowRange in_tree = RunForTree(name, t);
-  if (in_tree.empty() || left_lo >= left_hi) {
-    return RowRange{in_tree.begin, in_tree.begin};
+  if (tree.empty() || left_lo >= left_hi) {
+    return RowRange{tree.begin, tree.begin};
   }
   const auto lb = left_.begin();
-  auto lo = std::lower_bound(lb + in_tree.begin, lb + in_tree.end, left_lo);
-  auto hi = std::lower_bound(lo, lb + in_tree.end, left_hi);
+  auto lo = std::lower_bound(lb + tree.begin, lb + tree.end, left_lo);
+  auto hi = std::lower_bound(lo, lb + tree.end, left_hi);
   return RowRange{static_cast<Row>(lo - lb), static_cast<Row>(hi - lb)};
 }
 
-std::span<const Row> NodeRelation::RunRightRange(Symbol name, int32_t t,
+std::span<const Row> NodeRelation::RunRightRange(RowRange tree,
                                                  int32_t right_lo,
                                                  int32_t right_hi) const {
-  const RowRange full = run(name);
-  if (full.empty() || right_lo >= right_hi) return {};
-  auto first = by_right_.begin() + full.begin;
-  auto last = by_right_.begin() + full.end;
-  auto key_less = [this](Row r, std::pair<int32_t, int32_t> key) {
-    if (tid_[r] != key.first) return tid_[r] < key.first;
-    return right_[r] < key.second;
-  };
-  auto lo =
-      std::lower_bound(first, last, std::make_pair(t, right_lo), key_less);
-  auto hi = std::lower_bound(lo, last, std::make_pair(t, right_hi), key_less);
+  if (tree.empty() || right_lo >= right_hi) return {};
+  // The tree's rows occupy the same offsets of by_right_ (ordered by
+  // (tid, right, left) within the run), so only `right` is compared.
+  auto first = by_right_.begin() + tree.begin;
+  auto last = by_right_.begin() + tree.end;
+  auto right_less = [this](Row r, int32_t key) { return right_[r] < key; };
+  auto lo = std::lower_bound(first, last, right_lo, right_less);
+  auto hi = std::lower_bound(lo, last, right_hi, right_less);
   if (lo == hi) return {};
   return std::span<const Row>(&*lo, static_cast<size_t>(hi - lo));
 }
 
-std::span<const Row> NodeRelation::RunPidRange(Symbol name, int32_t t,
-                                               int32_t p) const {
-  const RowRange full = run(name);
-  if (full.empty()) return {};
-  auto first = by_pid_.begin() + full.begin;
-  auto last = by_pid_.begin() + full.end;
-  auto key_less = [this](Row r, std::pair<int32_t, int32_t> key) {
-    if (tid_[r] != key.first) return tid_[r] < key.first;
-    return pid_[r] < key.second;
-  };
-  auto key_greater = [this](std::pair<int32_t, int32_t> key, Row r) {
-    if (tid_[r] != key.first) return key.first < tid_[r];
-    return key.second < pid_[r];
-  };
-  auto lo = std::lower_bound(first, last, std::make_pair(t, p), key_less);
-  auto hi = std::upper_bound(lo, last, std::make_pair(t, p), key_greater);
+std::span<const Row> NodeRelation::RunPidRange(RowRange tree, int32_t p) const {
+  if (tree.empty()) return {};
+  // Same offsets in by_pid_, ordered by (tid, pid, left) within the run.
+  auto first = by_pid_.begin() + tree.begin;
+  auto last = by_pid_.begin() + tree.end;
+  auto pid_less = [this](Row r, int32_t key) { return pid_[r] < key; };
+  auto pid_greater = [this](int32_t key, Row r) { return key < pid_[r]; };
+  auto lo = std::lower_bound(first, last, p, pid_less);
+  auto hi = std::upper_bound(lo, last, p, pid_greater);
   if (lo == hi) return {};
   return std::span<const Row>(&*lo, static_cast<size_t>(hi - lo));
 }

@@ -9,8 +9,11 @@
 //
 // Access paths exposed here are what the SQL executor uses:
 //   - a per-tag "run" (contiguous, sorted by tid,left,right,depth,id);
-//   - binary-searchable (tid, left) ranges within a run;
-//   - per-run permutations ordered by (tid, right) and (tid, pid, left);
+//   - a per-tree "slice" of a run (RunForTree), located once;
+//   - left, right and pid ranges probed within a slice — the clustered
+//     run and the per-run permutations ordered by (tid, right, left) and
+//     (tid, pid, left) all lead with tid, so a tree sits at the same
+//     offsets in all three;
 //   - the global value index;
 //   - direct element lookup by (tid, id).
 
@@ -155,7 +158,10 @@ class NodeRelation {
     return RowRange{0, static_cast<Row>(row_count())};
   }
 
-  /// Subrange of run(name) with tid == t; binary search.
+  /// Subrange of run(name) with tid == t; binary search. This is the
+  /// "tree slice" the three probes below take: it sits at the same offsets
+  /// in the clustered run and in both per-run permutations, because all
+  /// three orders lead with tid.
   RowRange RunForTree(Symbol name, int32_t t) const;
 
   /// Subrange of run(name) with tid in [tid_lo, tid_hi); binary search.
@@ -163,21 +169,21 @@ class NodeRelation {
   /// tag run out of the clustered storage.
   RowRange RunTidRange(Symbol name, int32_t tid_lo, int32_t tid_hi) const;
 
-  /// Subrange of run(name) with tid == t and left in [left_lo, left_hi).
-  /// This is the workhorse for descendant/following/immediate-following.
-  RowRange RunLeftRange(Symbol name, int32_t t, int32_t left_lo,
-                        int32_t left_hi) const;
+  /// Rows of the tree slice `tree` (from RunForTree) with left in
+  /// [left_lo, left_hi). This is the workhorse for descendant/following/
+  /// immediate-following.
+  RowRange RunLeftRange(RowRange tree, int32_t left_lo, int32_t left_hi) const;
 
   // --- Per-run secondary orders -------------------------------------------
-  /// Rows of run(name) with tid == t and right in [right_lo, right_hi),
+  /// Rows of the tree slice `tree` with right in [right_lo, right_hi),
   /// returned as a span of row indexes ordered by right (for preceding /
   /// immediate-preceding).
-  std::span<const Row> RunRightRange(Symbol name, int32_t t, int32_t right_lo,
+  std::span<const Row> RunRightRange(RowRange tree, int32_t right_lo,
                                      int32_t right_hi) const;
 
-  /// Rows of run(name) with tid == t and pid == p, ordered by left (for the
+  /// Rows of the tree slice `tree` with pid == p, ordered by left (for the
   /// sibling axes and child-of lookups).
-  std::span<const Row> RunPidRange(Symbol name, int32_t t, int32_t p) const;
+  std::span<const Row> RunPidRange(RowRange tree, int32_t p) const;
 
   // --- Value index ----------------------------------------------------------
   /// Rows with value == v (attribute rows), ordered by (tid, id); the

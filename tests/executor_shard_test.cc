@@ -2,11 +2,14 @@
 // must merge to exactly ExecutePrepared's result (differential over the
 // fuzz corpus/query generator), shards must respect their boundaries, and
 // concurrent shard execution over one shared PreparedPlan must be free of
-// data races (this suite runs under ThreadSanitizer in CI).
+// data races (this suite runs under ThreadSanitizer in CI). A hand-written
+// plan whose inner variable's tree moves backwards between probes covers
+// the executor's slice-cursor fallback.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "lpath/engines.h"
 #include "sql/executor.h"
 #include "sql/optimizer.h"
+#include "sql/parser.h"
 #include "test_util.h"
 
 namespace lpath {
@@ -125,6 +129,98 @@ TEST_F(ShardBoundaryTest, ShardHitsStayInsideTheShard) {
   for (const Hit& h : part->hits) {
     EXPECT_GE(h.tid, 2);
     EXPECT_LT(h.tid, 5);
+  }
+}
+
+// S and NP joined on depth only: NP's tree is not tied to S's, so for every
+// S binding the NP scan restarts at tid 0 and the third variable, probed
+// through the tree slice of its NP, sees its tree move backwards.
+enum class Inner { kChild, kDescendant, kPreceding };
+
+const char* InnerSql(Inner inner) {
+  switch (inner) {
+    case Inner::kChild:
+      return "SELECT DISTINCT c.tid, c.id FROM nodes AS s, nodes AS n, "
+             "nodes AS c WHERE s.name = 'S' AND n.name = 'NP' AND "
+             "n.depth = s.depth AND c.name = 'N' AND c.tid = n.tid AND "
+             "c.pid = n.id";
+    case Inner::kDescendant:
+      return "SELECT DISTINCT c.tid, c.id FROM nodes AS s, nodes AS n, "
+             "nodes AS c WHERE s.name = 'S' AND n.name = 'NP' AND "
+             "n.depth = s.depth AND c.name = 'N' AND c.tid = n.tid AND "
+             "c.left >= n.left AND c.right <= n.right AND c.depth > n.depth";
+    case Inner::kPreceding:
+      return "SELECT DISTINCT c.tid, c.id FROM nodes AS s, nodes AS n, "
+             "nodes AS c WHERE s.name = 'S' AND n.name = 'NP' AND "
+             "n.depth = s.depth AND c.name = 'N' AND c.tid = n.tid AND "
+             "c.right <= n.left";
+  }
+  return "";
+}
+
+bool InnerHolds(const NodeRelation& rel, Inner inner, Row n, Row c) {
+  if (rel.tid(c) != rel.tid(n)) return false;
+  switch (inner) {
+    case Inner::kChild:
+      return rel.pid(c) == rel.id(n);
+    case Inner::kDescendant:
+      return rel.left(c) >= rel.left(n) && rel.right(c) <= rel.right(n) &&
+             rel.depth(c) > rel.depth(n);
+    case Inner::kPreceding:
+      return rel.right(c) <= rel.left(n);
+  }
+  return false;
+}
+
+/// The plan's answer by a nested loop over relation rows.
+QueryResult BruteForce(const NodeRelation& rel, Inner inner) {
+  const Interner& in = rel.interner();
+  const RowRange ss = rel.run(in.Lookup("S"));
+  const RowRange ns = rel.run(in.Lookup("NP"));
+  const RowRange cs = rel.run(in.Lookup("N"));
+  std::set<Hit> hits;
+  for (Row s = ss.begin; s < ss.end; ++s) {
+    for (Row n = ns.begin; n < ns.end; ++n) {
+      if (rel.depth(n) != rel.depth(s)) continue;
+      for (Row c = cs.begin; c < cs.end; ++c) {
+        if (InnerHolds(rel, inner, n, c)) {
+          hits.insert(Hit{rel.tid(c), rel.id(c)});
+        }
+      }
+    }
+  }
+  QueryResult out;
+  out.hits.assign(hits.begin(), hits.end());
+  return out;
+}
+
+TEST(SliceCursorTest, InnerTreeMovingBackwardsMatchesNestedLoop) {
+  Corpus corpus = testing::RandomCorpus(8128, /*trees=*/60, /*max_nodes=*/40);
+  Result<NodeRelation> built = NodeRelation::Build(corpus);
+  ASSERT_TRUE(built.ok());
+  const NodeRelation& rel = built.value();
+  const int32_t trees = rel.tree_count();
+  for (Inner inner : {Inner::kChild, Inner::kDescendant, Inner::kPreceding}) {
+    const QueryResult want = BruteForce(rel, inner);
+    ASSERT_FALSE(want.hits.empty()) << InnerSql(inner);
+    Result<ExecPlan> plan = sql::ParseSql(InnerSql(inner));
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    for (auto order : {sql::ExecOptions::JoinOrder::kGreedy,
+                       sql::ExecOptions::JoinOrder::kLeftToRight}) {
+      sql::ExecOptions options;
+      options.join_order = order;
+      Result<std::unique_ptr<sql::PreparedPlan>> pp =
+          sql::Prepare(plan.value(), rel, options);
+      ASSERT_TRUE(pp.ok()) << pp.status();
+      sql::PlanExecutor executor(rel, options);
+      Result<QueryResult> serial = executor.ExecutePrepared(*pp.value());
+      ASSERT_TRUE(serial.ok()) << serial.status();
+      EXPECT_EQ(serial.value(), want) << InnerSql(inner);
+      for (int shards : {2, 5}) {
+        EXPECT_EQ(MergeShards(executor, *pp.value(), trees, shards), want)
+            << InnerSql(inner) << "\nshards: " << shards;
+      }
+    }
   }
 }
 

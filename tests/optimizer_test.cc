@@ -65,7 +65,7 @@ TEST_F(OptimizerTest, UnknownLiteralInsideNotIsNotAlwaysEmpty) {
 
 TEST_F(OptimizerTest, LiteralFirstConjunctIsOriented) {
   // A hand-built plan spelled literal-first must be flipped column-first
-  // at prepare time so HarvestFacts/StaticFacts see the name equality.
+  // at prepare time so the static fact harvest sees the name equality.
   ExecPlan plan;
   plan.num_vars = 1;
   plan.conjuncts.push_back(Conjunct{Operand::String("NP"), CmpOp::kEq,
@@ -78,6 +78,8 @@ TEST_F(OptimizerTest, LiteralFirstConjunctIsOriented) {
   EXPECT_FALSE(c.lhs.is_literal());
   EXPECT_EQ(c.lhs.col, PlanCol::kName);
   EXPECT_TRUE(c.rhs.is_literal());
+  EXPECT_EQ(pp.value()->var_name[0], rel_->interner().Lookup("NP"));
+  EXPECT_EQ(pp.value()->var_kind[0], -1);
 }
 
 TEST_F(OptimizerTest, LiteralFirstOrderingOperatorIsMirrored) {
