@@ -5,7 +5,7 @@
 //
 //   prepare/Cold       — seconds per *structure* for the full cold path on
 //                        a fresh session: parse + compile + optimize +
-//                        per-source sql::Prepare + memo setup.
+//                        per-source sql::Prepare.
 //   prepare/Respelled  — seconds per *spelling* when the structure is
 //                        already cached under different text: parse +
 //                        compile + fingerprint probe, no sql::Prepare. The
@@ -19,12 +19,6 @@
 //                        execution fanned out to all of them. The
 //                        acceptance bar is Coalesced QPS >= PerText QPS
 //                        (bench_diff --ratio Coalesced PerText).
-//   memo/FirstPlan     — seconds for an EXISTS-heavy query on a fresh
-//                        session (subquery answers derived from scratch).
-//   memo/CrossPlan     — the same query after a *different* top-level plan
-//                        (wildcard root, same EXISTS subtree) filled the
-//                        session's subplan-memo registry: probes answered
-//                        cross-plan (`subplan_memo_hits` counter).
 //
 // Machine-readable output: set LPATHDB_BENCH_JSON=<path> to dump the table
 // as the BENCH_plan_cache.json trajectory (bench_diff.py diffs it against
@@ -50,7 +44,7 @@ namespace {
 
 /// The hot structures. Each carries quotable tags (spelling variants) and
 /// a predicate that keeps an EXISTS subtree after unnesting (OR / NOT), so
-/// prepare cost and memo reuse are both visible.
+/// prepare cost covers a subplan too.
 constexpr const char* kStructures[] = {
     "//S//NP[//N or @lex='zzzunknown']",
     "//VP[not(//X)]//NP",
@@ -60,12 +54,6 @@ constexpr int kNumStructures =
     static_cast<int>(sizeof(kStructures) / sizeof(kStructures[0]));
 /// Spelling variants per structure in the hot batch (variant 0 = verbatim).
 constexpr int kSpellingsPerStructure = 9;
-
-/// The EXISTS-heavy pair for the memo rows: `kWide` computes the subtree's
-/// answer for every node row, `kNarrow` re-probes a subset of them from a
-/// different top-level plan.
-constexpr const char* kWide = "//_[//N or @lex='zzzunknown']";
-constexpr const char* kNarrow = "//NP[//N or @lex='zzzunknown']";
 
 /// Corpus scale: a fraction of the fixture default, same arrangement as
 /// bench_ingest (one WSJ snapshot, built once).
@@ -150,8 +138,8 @@ void FreeFixture() {
 
 ReportTable& PlanCacheTable() {
   static ReportTable* table = new ReportTable(
-      "Plan cache — fingerprint-shared preparation, batch coalescing, and "
-      "cross-plan EXISTS memo reuse (WSJ, mixed-spelling hot set)");
+      "Plan cache — fingerprint-shared preparation and batch coalescing "
+      "(WSJ, mixed-spelling hot set)");
   return *table;
 }
 
@@ -301,66 +289,6 @@ void BenchHotCoalesced(benchmark::State& st) {
   }
 }
 
-/// EXISTS-heavy query on a fresh session: all subquery answers derived.
-void BenchMemoFirstPlan(benchmark::State& st) {
-  PlanCacheFixture& fx = GetPlanCacheFixture();
-  double total = 0.0;
-  uint64_t iters = 0;
-  for (auto _ : st) {
-    fx.service->UpdateSnapshot(fx.snap);
-    Timer timer;
-    Result<QueryResult> r = fx.service->Query(kNarrow);
-    total += timer.ElapsedSeconds();
-    if (!r.ok()) {
-      st.SkipWithError(r.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(r->count());
-    ++iters;
-  }
-  st.SetItemsProcessed(static_cast<int64_t>(iters));
-  if (iters > 0) {
-    PlanCacheTable().Record(
-        "memo", "FirstPlan",
-        Measurement{total / static_cast<double>(iters), 1, true});
-  }
-}
-
-/// The same query after a different plan filled the registry memo: probes
-/// answered cross-plan.
-void BenchMemoCrossPlan(benchmark::State& st) {
-  PlanCacheFixture& fx = GetPlanCacheFixture();
-  double total = 0.0;
-  uint64_t iters = 0;
-  uint64_t memo_hits = 0;
-  for (auto _ : st) {
-    fx.service->UpdateSnapshot(fx.snap);
-    Result<QueryResult> warm = fx.service->Query(kWide);  // fills the memo
-    if (!warm.ok()) {
-      st.SkipWithError(warm.status().ToString().c_str());
-      return;
-    }
-    const uint64_t before = fx.service->Stats().exec.subplan_memo_hits;
-    Timer timer;
-    Result<QueryResult> r = fx.service->Query(kNarrow);
-    total += timer.ElapsedSeconds();
-    if (!r.ok()) {
-      st.SkipWithError(r.status().ToString().c_str());
-      return;
-    }
-    memo_hits += fx.service->Stats().exec.subplan_memo_hits - before;
-    benchmark::DoNotOptimize(r->count());
-    ++iters;
-  }
-  st.SetItemsProcessed(static_cast<int64_t>(iters));
-  st.counters["subplan_memo_hits"] = static_cast<double>(memo_hits);
-  if (iters > 0) {
-    PlanCacheTable().Record(
-        "memo", "CrossPlan",
-        Measurement{total / static_cast<double>(iters), 1, true});
-  }
-}
-
 void RegisterAll() {
   struct Entry {
     const char* name;
@@ -369,9 +297,7 @@ void RegisterAll() {
   for (const Entry& e : {Entry{"prepare/Cold", BenchPrepareCold},
                          Entry{"prepare/Respelled", BenchPrepareRespelled},
                          Entry{"hot_exec/PerText", BenchHotPerText},
-                         Entry{"hot_exec/Coalesced", BenchHotCoalesced},
-                         Entry{"memo/FirstPlan", BenchMemoFirstPlan},
-                         Entry{"memo/CrossPlan", BenchMemoCrossPlan}}) {
+                         Entry{"hot_exec/Coalesced", BenchHotCoalesced}}) {
     benchmark::RegisterBenchmark(e.name, e.fn)
         ->UseRealTime()
         ->Unit(benchmark::kMillisecond);
@@ -380,13 +306,11 @@ void RegisterAll() {
 
 void PrintTables() {
   printf("%s", PlanCacheTable()
-                   .Render({"Cold", "Respelled", "PerText", "Coalesced",
-                            "FirstPlan", "CrossPlan"})
+                   .Render({"Cold", "Respelled", "PerText", "Coalesced"})
                    .c_str());
   printf("\n(prepare: per pass — Cold preps %d structures, Respelled binds "
          "%d fresh spellings; hot_exec: per %zu-member mixed-spelling batch; "
-         "memo: per query; scale: %d sentences, LPATHDB_SENTENCES "
-         "overrides)\n",
+         "scale: %d sentences, LPATHDB_SENTENCES overrides)\n",
          kNumStructures, kNumStructures * (kSpellingsPerStructure - 1),
          GetPlanCacheFixture().hot_batch.size(), PlanCacheSentences());
 }

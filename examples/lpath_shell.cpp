@@ -92,12 +92,10 @@ void PrintServiceStats(const std::string& name,
       "plan cache: %zu/%zu plans (%zu spellings, %zu fingerprints), "
       "%llu hits (%llu negative), %llu misses, %llu shared-prepare, "
       "%llu fp-collisions, %llu evictions\n"
-      "subplan memo: %llu subtrees shared by %llu plans, %zu memo entries, "
-      "%llu collisions\n"
       "latency: p50 %.3f ms, p90 %.3f ms, p99 %.3f ms, max %.3f ms "
       "(%zu samples)\n"
       "executor: %llu candidates, %llu bindings, %llu subqueries, "
-      "%llu shard runs, %llu cross-plan memo hits\n"
+      "%llu shard runs\n"
       "live corpus: %llu ingests, %llu compactions, %llu delta rows "
       "scanned, %llu max sources\n"
       "durability: %llu wal appends (%llu bytes), %llu replayed batches, "
@@ -115,17 +113,12 @@ void PrintServiceStats(const std::string& name,
       static_cast<unsigned long long>(st.cache.shared_prepare_hits),
       static_cast<unsigned long long>(st.cache.fingerprint_collisions),
       static_cast<unsigned long long>(st.cache.evictions),
-      static_cast<unsigned long long>(st.subplans.subtrees),
-      static_cast<unsigned long long>(st.subplans.cross_plan),
-      st.subplans.memo_entries,
-      static_cast<unsigned long long>(st.subplans.collisions),
       st.latency.p50_ms, st.latency.p90_ms, st.latency.p99_ms,
       st.latency.max_ms, st.latency.samples,
       static_cast<unsigned long long>(st.exec.candidates),
       static_cast<unsigned long long>(st.exec.bindings),
       static_cast<unsigned long long>(st.exec.subqueries),
       static_cast<unsigned long long>(st.exec.shards),
-      static_cast<unsigned long long>(st.exec.subplan_memo_hits),
       static_cast<unsigned long long>(st.ingests),
       static_cast<unsigned long long>(st.compactions),
       static_cast<unsigned long long>(st.exec.delta_rows),

@@ -102,6 +102,10 @@ struct BoolExpr {
   std::unique_ptr<BoolExpr> lhs, rhs;  // kAnd/kOr (both), kNot (lhs)
   Conjunct cmp;                        // kCmp
   std::unique_ptr<ExecPlan> sub;       // kExists
+  /// kExists: index of this node's prepared subplan in the owning
+  /// sql::PreparedPlan's `subs`. Set by sql::Prepare on the plan copy it
+  /// owns; -1 everywhere else (clones reset it).
+  int sub_index = -1;
 
   explicit BoolExpr(Kind k) : kind(k) {}
 };

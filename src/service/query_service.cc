@@ -43,35 +43,14 @@ void ShiftTids(std::vector<Hit>& hits, int32_t offset) {
   for (Hit& h : hits) h.tid += offset;
 }
 
-/// Walks a prepared plan's subplan nest, registering every memoizable
-/// EXISTS subtree with the session registry and collecting the
-/// registry-verified global memo keys (nodes the registry refused —
-/// fingerprint collisions — are simply left out and keep per-plan
-/// memoization only).
-void RegisterSubplans(SubplanMemoRegistry& registry,
-                      const sql::PreparedPlan& pp,
-                      std::unordered_map<const BoolExpr*, uint64_t>* keys) {
-  for (const auto& [node, fp] : pp.sub_fingerprint) {
-    if (registry.Register(fp, *node->sub)) (*keys)[node] = fp;
-  }
-  for (const auto& [node, sub] : pp.subs) {
-    (void)node;
-    RegisterSubplans(registry, *sub, keys);
-  }
-}
-
 }  // namespace
 
-/// See the declaration: one executable (source, plan, memo) triple.
+/// See the declaration: one executable (source, plan) pair.
 struct QueryService::SourceRun {
   const sql::PlanExecutor* executor;
   const sql::PreparedPlan* plan;
-  sql::ExistsMemo* memo;
   const NodeRelation* relation;
   int32_t tid_offset;  ///< added to every hit tid (0 for the base)
-  /// The session's snapshot-scoped subplan memo for this source, plus the
-  /// plan's verified keys into it.
-  sql::GlobalExistsMemo global;
 };
 
 bool PendingQuery::ready() const {
@@ -141,24 +120,14 @@ Result<CachedPlan> QueryService::PrepareCompiled(const Session& session,
                          sql::Prepare(compiled, relation, options_.exec));
   CachedPlan entry;
   entry.plan = std::move(prepared);
-  entry.memo =
-      std::make_shared<sql::ExistsMemo>(options_.exists_memo_entries);
-  RegisterSubplans(session.subplans, *entry.plan, &entry.sub_keys);
   if (const NodeRelation* delta = session.snapshot->delta_relation()) {
     // The chain's second source gets the same compiled plan prepared
     // against its own relation: literals resolve in the delta dictionary
-    // (which may know strings the base has never seen, and vice versa),
-    // the optimizer sees delta statistics, and per-source preparation,
-    // memos and subplan registries keep answers from leaking across
-    // source generations — the "memo keyed per source generation"
-    // contract.
+    // (which may know strings the base has never seen, and vice versa)
+    // and the optimizer sees delta statistics.
     LPATH_ASSIGN_OR_RETURN(std::unique_ptr<sql::PreparedPlan> dprep,
                            sql::Prepare(compiled, *delta, options_.exec));
     entry.delta_plan = std::move(dprep);
-    entry.delta_memo =
-        std::make_shared<sql::ExistsMemo>(options_.exists_memo_entries);
-    RegisterSubplans(*session.delta_subplans, *entry.delta_plan,
-                     &entry.delta_sub_keys);
   }
   return entry;
 }
@@ -173,7 +142,7 @@ Result<CachedPlanPtr> QueryService::ProbePlan(const Session& session,
   }
   // Compile outside the cache lock, then probe the structural level: a
   // respelling of a cached structure binds to the existing entry and
-  // shares its prepared plans and memos without a sql::Prepare.
+  // shares its prepared plans without a sql::Prepare.
   Result<ExecPlan> plan = CompileQuery(session, key);
   if (!plan.ok()) {
     // Negative entry: the same bad text will be answered from the cache.
@@ -228,21 +197,12 @@ Result<std::shared_ptr<const sql::PreparedPlan>> QueryService::GetPlan(
 int QueryService::CollectSources(const Session& session,
                                  const CachedPlan& planned, SourceRun* out) {
   int n = 0;
-  out[n++] = SourceRun{
-      &session.executor,
-      planned.plan.get(),
-      planned.memo.get(),
-      &session.snapshot->relation(),
-      /*tid_offset=*/0,
-      sql::GlobalExistsMemo{session.subplans.memo(), &planned.sub_keys}};
+  out[n++] = SourceRun{&session.executor, planned.plan.get(),
+                       &session.snapshot->relation(), /*tid_offset=*/0};
   if (session.delta_executor.has_value() && planned.delta_plan != nullptr) {
-    out[n++] = SourceRun{&*session.delta_executor,
-                         planned.delta_plan.get(),
-                         planned.delta_memo.get(),
+    out[n++] = SourceRun{&*session.delta_executor, planned.delta_plan.get(),
                          session.snapshot->delta_relation(),
-                         session.snapshot->base_tree_count(),
-                         sql::GlobalExistsMemo{session.delta_subplans->memo(),
-                                               &planned.delta_sub_keys}};
+                         session.snapshot->base_tree_count()};
   }
   return n;
 }
@@ -263,8 +223,7 @@ Result<QueryResult> QueryService::RunSerial(const Session& session,
     }
     const SourceRun& src = sources[s];
     sql::ExecStats stats;
-    Result<QueryResult> r =
-        src.executor->ExecutePrepared(*src.plan, &stats, src.memo, src.global);
+    Result<QueryResult> r = src.executor->ExecutePrepared(*src.plan, &stats);
     if (src.tid_offset != 0) stats.delta_rows = stats.candidates;
     total.Add(stats);
     if (!r.ok()) {
@@ -372,7 +331,7 @@ Result<QueryResult> QueryService::RunSharded(const Session& session,
   std::vector<sql::ExecStats> stats(count);
   std::atomic<uint64_t> steals{0};
   // The item lambda owns the cache entry (the shared_ptr is copied into
-  // RunOnPool's shared state), keeping plans, memos and subplan keys alive
+  // RunOnPool's shared state), keeping its plans alive
   // for helpers scheduled after the query completes. The locals
   // (`sources`, `morsels`, `results`, ...) are captured by reference: a
   // late helper never claims an item, so it never dereferences them after
@@ -386,8 +345,7 @@ Result<QueryResult> QueryService::RunSharded(const Session& session,
     const Morsel& m = morsels[i];
     const SourceRun& src = sources[m.source];
     results[i] = src.executor->ExecuteShard(*src.plan, m.range.tid_lo,
-                                            m.range.tid_hi, &stats[i],
-                                            src.memo, src.global);
+                                            m.range.tid_hi, &stats[i]);
     if (src.tid_offset != 0) {
       stats[i].delta_rows = stats[i].candidates;
       // Rebase into chain tid space before the DISTINCT stages (both the
@@ -724,14 +682,7 @@ void QueryService::NoteCheckpoint() {
 
 ServiceStats QueryService::Stats() const {
   ServiceStats s;
-  {
-    SessionPtr session = CurrentSession();
-    s.cache = session->cache.stats();
-    s.subplans = session->subplans.stats();
-    if (session->delta_subplans.has_value()) {
-      s.subplans.Add(session->delta_subplans->stats());
-    }
-  }
+  s.cache = CurrentSession()->cache.stats();
   std::vector<double> sorted;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <unordered_map>
+#include <span>
 
 namespace lpath {
 namespace sql {
@@ -13,27 +13,14 @@ namespace {
 constexpr int32_t kMinInt = std::numeric_limits<int32_t>::min();
 constexpr int32_t kMaxInt = std::numeric_limits<int32_t>::max();
 
-bool IsLocal(const Operand& o) { return !o.is_literal() && !o.is_outer(); }
-
 /// One plan's binding frame; frames chain to parents for correlation.
+/// `bound` points at the plan's own region of the Runner's flat binding
+/// array: a subplan is never re-entered while one of its evaluations is
+/// active, so one region per plan of the nest is enough.
 struct Frame {
   const PreparedPlan* pp;
-  std::vector<Row> bound;
+  Row* bound;
   const Frame* parent = nullptr;
-};
-
-/// Bounds derived for a variable's columns from checkable conjuncts.
-struct Bounds {
-  bool has_tid = false;
-  int32_t tid = 0;
-  bool has_id = false;
-  int32_t id = 0;
-  bool has_pid = false;
-  int32_t pid = 0;
-  bool has_value = false;
-  Symbol value = kNoSymbol;
-  int64_t left_lo = kMinInt, left_hi = kMaxInt;    // half-open
-  int64_t right_lo = kMinInt, right_hi = kMaxInt;  // half-open
 };
 
 /// The last tree slice one (plan, position) slot probed. Every LPath step
@@ -45,15 +32,36 @@ struct SliceCursor {
   RowRange slice;
 };
 
+/// A key narrowed to an int32 column, or nothing when no int32 value can
+/// equal it (a literal outside the column's range gives an empty probe).
+bool Int32Key(int64_t key, int32_t* out) {
+  if (key < kMinInt || key > kMaxInt) return false;
+  *out = static_cast<int32_t>(key);
+  return true;
+}
+
+/// Half-open intervals of left and right values a probe may yield.
+struct Intervals {
+  int64_t left_lo = kMinInt, left_hi = int64_t{kMaxInt} + 1;
+  int64_t right_lo = kMinInt, right_hi = int64_t{kMaxInt} + 1;
+};
+
+/// A [lo, hi) interval clamped to int32 probe keys. Exact: rows satisfy
+/// 0 < left < right < INT32_MAX (see storage/relation.h), so no row lies
+/// outside [kMinInt, kMaxInt).
+bool Clamp(int64_t lo, int64_t hi, int32_t* lo32, int32_t* hi32) {
+  lo = std::max<int64_t>(lo, kMinInt);
+  hi = std::min<int64_t>(hi, kMaxInt);
+  if (lo >= hi) return false;
+  *lo32 = static_cast<int32_t>(lo);
+  *hi32 = static_cast<int32_t>(hi);
+  return true;
+}
+
 class Runner {
  public:
-  Runner(const NodeRelation& rel, const ExecOptions& options, ExecStats* stats,
-         ExistsMemo* shared_memo, GlobalExistsMemo global)
-      : rel_(rel),
-        options_(options),
-        stats_(stats),
-        shared_memo_(shared_memo),
-        global_(global) {}
+  Runner(const NodeRelation& rel, const ExecOptions& options, ExecStats* stats)
+      : rel_(rel), options_(options), stats_(stats) {}
 
   Status Run(const PreparedPlan& pp, QueryResult* out) {
     return RunShard(pp, 0, kMaxInt, out);
@@ -69,10 +77,9 @@ class Runner {
     root_pp_ = (tid_lo > 0 || tid_hi < kMaxInt) ? &pp : nullptr;
     shard_lo_ = tid_lo;
     shard_hi_ = tid_hi;
-    Frame frame;
-    frame.pp = &pp;
-    frame.bound.assign(pp.plan.num_vars, kNoRow);
     cursors_.assign(pp.slot_count, SliceCursor{});
+    bound_.assign(pp.slot_count, kNoRow);
+    Frame frame{&pp, bound_.data() + pp.slot_base, nullptr};
     Extend(frame, 0, out);
     // Hits arrive mostly in (tid, id) order with repeats adjacent, so this
     // usually skips the sort and dedups in one pass.
@@ -114,6 +121,15 @@ class Runner {
     return true;
   }
 
+  /// A planned key: its source is bound by construction.
+  int64_t Key(const Frame& f, const KeyRef& k) const {
+    if (k.var == Operand::kLiteral) return k.num;
+    const Row r = k.var >= Operand::kOuterVarBase
+                      ? f.parent->bound[k.var - Operand::kOuterVarBase]
+                      : f.bound[k.var];
+    return ColValue(r, k.col);
+  }
+
   static bool Compare(int64_t a, CmpOp op, int64_t b) {
     switch (op) {
       case CmpOp::kEq: return a == b;
@@ -150,75 +166,14 @@ class Runner {
     return false;
   }
 
+  /// Subplans never carry always_empty: their unknown literals resolve to
+  /// the unsatisfiable sentinel, so an impossible EXISTS enumerates
+  /// nothing and evaluates to false here.
   bool EvalExists(Frame& f, const BoolExpr& e) {
-    const auto sub_it = f.pp->subs.find(&e);
-    const PreparedPlan& sub = *sub_it->second;
-    // Subplans never carry always_empty: their unknown literals resolve to
-    // the unsatisfiable sentinel, so an impossible EXISTS enumerates
-    // nothing and evaluates to false here.
-
-    // Memoize on the single correlation variable when there is one. The
-    // lookup chain is ordered by cost: the run-private map first (no
-    // lock), then the per-plan shared table that spans all morsels of the
-    // query and all executions of a cached plan (keyed by node address),
-    // then the snapshot-scoped subplan memo keyed by the subtree's
-    // structural fingerprint, which holds answers derived by *other*
-    // top-level plans sharing this subtree. A hit at any level is copied
-    // into the cheaper levels so their locks are paid once per (run,
-    // binding).
-    const int outer_var = f.pp->sub_outer_var.at(&e);
-    uint64_t memo_key = 0;
-    std::unordered_map<uint64_t, bool>* memo = nullptr;
-    const uint64_t plan_key = reinterpret_cast<uintptr_t>(&e);
-    uint64_t global_key = 0;
-    bool has_global = false;
-    if (outer_var >= 0) {
-      memo = &memo_[&e];
-      memo_key = f.bound[outer_var];
-      auto it = memo->find(memo_key);
-      if (it != memo->end()) {
-        if (stats_ != nullptr) stats_->memo_hits += 1;
-        return it->second;
-      }
-      if (shared_memo_ != nullptr) {
-        if (std::optional<bool> hit = shared_memo_->Lookup(plan_key, memo_key)) {
-          if (stats_ != nullptr) stats_->shared_memo_hits += 1;
-          memo->emplace(memo_key, *hit);
-          return *hit;
-        }
-      }
-      if (global_.memo != nullptr && global_.keys != nullptr) {
-        const auto key_it = global_.keys->find(&e);
-        if (key_it != global_.keys->end()) {
-          has_global = true;
-          global_key = key_it->second;
-          if (std::optional<bool> hit =
-                  global_.memo->Lookup(global_key, memo_key)) {
-            if (stats_ != nullptr) stats_->subplan_memo_hits += 1;
-            memo->emplace(memo_key, *hit);
-            if (shared_memo_ != nullptr) {
-              shared_memo_->Insert(plan_key, memo_key, *hit);
-            }
-            return *hit;
-          }
-        }
-      }
-    }
+    const PreparedPlan& sub = *f.pp->subs[e.sub_index];
     if (stats_ != nullptr) stats_->subqueries += 1;
-
-    Frame sub_frame;
-    sub_frame.pp = &sub;
-    sub_frame.bound.assign(sub.plan.num_vars, kNoRow);
-    sub_frame.parent = &f;
-    const bool found = Extend(sub_frame, 0, /*out=*/nullptr);
-    if (memo != nullptr) {
-      memo->emplace(memo_key, found);
-      if (shared_memo_ != nullptr) {
-        shared_memo_->Insert(plan_key, memo_key, found);
-      }
-      if (has_global) global_.memo->Insert(global_key, memo_key, found);
-    }
-    return found;
+    Frame sub_frame{&sub, bound_.data() + sub.slot_base, &f};
+    return Extend(sub_frame, 0, /*out=*/nullptr);
   }
 
   /// Binds the variable at `pos` and recurses. Returns true if at least one
@@ -237,6 +192,7 @@ class Runner {
       return true;
     }
     const int v = pp.order[pos];
+    const PlannedProbe& probe = pp.probes[pos];
     bool found_any = false;
 
     auto try_candidate = [&](Row cand) -> bool {
@@ -244,7 +200,7 @@ class Runner {
       if (stats_ != nullptr) stats_->candidates += 1;
       f.bound[v] = cand;
       bool ok = true;
-      for (const Conjunct& c : pp.conjuncts_at[pos]) {
+      for (const Conjunct& c : probe.residual) {
         if (!EvalConjunct(f, c)) {
           ok = false;
           break;
@@ -273,75 +229,38 @@ class Runner {
       return false;
     };
 
-    ForEachCandidate(f, pos, v, try_candidate);
+    ForEachCandidate(f, pos, v, probe, try_candidate);
     f.bound[v] = kNoRow;
     return found_any;
   }
 
-  /// Derives bounds on var `v`'s columns from the conjuncts checkable at
-  /// `pos` whose other side is already bound.
-  Bounds DeriveBounds(const Frame& f, int pos, int v) const {
-    Bounds b;
-    for (const Conjunct& c : f.pp->conjuncts_at[pos]) {
-      if (!IsLocal(c.lhs) || c.lhs.var != v) continue;
-      int64_t rhs;
-      if (!OperandValue(f, c.rhs, &rhs)) continue;
-      switch (c.lhs.col) {
-        case PlanCol::kTid:
-          if (c.op == CmpOp::kEq) {
-            b.has_tid = true;
-            b.tid = static_cast<int32_t>(rhs);
-          }
+  /// The intervals the probe's range keys allow, tightened through
+  /// left < right: an upper bound on right caps left, and a lower bound on
+  /// left raises right. Keys are clamped to just outside int32 first, which
+  /// keeps every comparison with an int32 column and the arithmetic exact.
+  Intervals DeriveIntervals(const Frame& f, const PlannedProbe& probe) const {
+    constexpr int64_t kBelow = int64_t{kMinInt} - 1;
+    constexpr int64_t kAbove = int64_t{kMaxInt} + 1;
+    Intervals iv;
+    for (const RangeKey& rk : probe.ranges) {
+      const int64_t k = std::clamp(Key(f, rk.key), kBelow, kAbove);
+      int64_t& lo = rk.col == PlanCol::kLeft ? iv.left_lo : iv.right_lo;
+      int64_t& hi = rk.col == PlanCol::kLeft ? iv.left_hi : iv.right_hi;
+      switch (rk.op) {
+        case CmpOp::kEq:
+          lo = std::max(lo, k);
+          hi = std::min(hi, k + 1);
           break;
-        case PlanCol::kId:
-          if (c.op == CmpOp::kEq) {
-            b.has_id = true;
-            b.id = static_cast<int32_t>(rhs);
-          }
-          break;
-        case PlanCol::kPid:
-          if (c.op == CmpOp::kEq) {
-            b.has_pid = true;
-            b.pid = static_cast<int32_t>(rhs);
-          }
-          break;
-        case PlanCol::kValue:
-          if (c.op == CmpOp::kEq) {
-            b.has_value = true;
-            b.value = static_cast<Symbol>(rhs);
-          }
-          break;
-        case PlanCol::kLeft:
-          switch (c.op) {
-            case CmpOp::kEq:
-              b.left_lo = std::max(b.left_lo, rhs);
-              b.left_hi = std::min(b.left_hi, rhs + 1);
-              break;
-            case CmpOp::kGe: b.left_lo = std::max(b.left_lo, rhs); break;
-            case CmpOp::kGt: b.left_lo = std::max(b.left_lo, rhs + 1); break;
-            case CmpOp::kLe: b.left_hi = std::min(b.left_hi, rhs + 1); break;
-            case CmpOp::kLt: b.left_hi = std::min(b.left_hi, rhs); break;
-            default: break;
-          }
-          break;
-        case PlanCol::kRight:
-          switch (c.op) {
-            case CmpOp::kEq:
-              b.right_lo = std::max(b.right_lo, rhs);
-              b.right_hi = std::min(b.right_hi, rhs + 1);
-              break;
-            case CmpOp::kGe: b.right_lo = std::max(b.right_lo, rhs); break;
-            case CmpOp::kGt: b.right_lo = std::max(b.right_lo, rhs + 1); break;
-            case CmpOp::kLe: b.right_hi = std::min(b.right_hi, rhs + 1); break;
-            case CmpOp::kLt: b.right_hi = std::min(b.right_hi, rhs); break;
-            default: break;
-          }
-          break;
-        default:
-          break;
+        case CmpOp::kGe: lo = std::max(lo, k); break;
+        case CmpOp::kGt: lo = std::max(lo, k + 1); break;
+        case CmpOp::kLe: hi = std::min(hi, k + 1); break;
+        case CmpOp::kLt: hi = std::min(hi, k); break;
+        case CmpOp::kNe: break;
       }
     }
-    return b;
+    iv.left_hi = std::min(iv.left_hi, iv.right_hi - 1);
+    iv.right_lo = std::max(iv.right_lo, iv.left_lo + 1);
+    return iv;
   }
 
   /// First row in [from, end) whose tid fails `before`, which holds on a
@@ -388,34 +307,27 @@ class Runner {
     return c.slice;
   }
 
+  /// Feeds `fn` element row `r` (unless the variable wants attributes
+  /// only) and its attribute rows (unless it wants elements only), which
+  /// share its label. Returns true when `fn` asked to stop.
   template <typename Fn>
-  void ForEachCandidate(const Frame& f, int pos, int v, Fn&& fn) {
+  bool EmitWithAttrs(int32_t tid, Row r, int kind, Fn& fn) {
+    if (kind != 1 && fn(r)) return true;
+    if (kind != 0) {
+      for (Row a : rel_.AttrRows(tid, rel_.id(r))) {
+        if (fn(a)) return true;
+      }
+    }
+    return false;
+  }
+
+  /// Enumerates the candidates of position `pos` through its planned probe.
+  template <typename Fn>
+  void ForEachCandidate(const Frame& f, int pos, int v,
+                        const PlannedProbe& probe, Fn&& fn) {
     const PreparedPlan& pp = *f.pp;
     const Symbol name = pp.var_name[v];
     const int kind = pp.var_kind[v];
-    const int slot = pp.slot_base + pos;
-    Bounds b = DeriveBounds(f, pos, v);
-
-    // No direct tid conjunct available yet? Derive the tree through v's tid
-    // equivalence class: any bound class member, or the class's outer
-    // correlation, pins the tree.
-    if (!b.has_tid && v < static_cast<int>(pp.tid_class.size())) {
-      const int cls = pp.tid_class[v];
-      for (int u = 0; u < static_cast<int>(f.bound.size()) && !b.has_tid;
-           ++u) {
-        if (u != v && pp.tid_class[u] == cls && f.bound[u] != kNoRow) {
-          b.has_tid = true;
-          b.tid = rel_.tid(f.bound[u]);
-        }
-      }
-      if (!b.has_tid && pp.class_has_outer[cls]) {
-        int64_t tid_value = 0;
-        if (OperandValue(f, pp.class_outer_tid[cls], &tid_value)) {
-          b.has_tid = true;
-          b.tid = static_cast<int32_t>(tid_value);
-        }
-      }
-    }
 
     // Shard constraint: only the root plan's first variable is clamped to
     // the shard's tid slice; every path below inherits the restriction
@@ -424,141 +336,157 @@ class Runner {
     const bool sharded = &pp == root_pp_ && pos == 0;
     const int32_t tid_lo = sharded ? shard_lo_ : 0;
     const int32_t tid_hi = sharded ? shard_hi_ : kMaxInt;
-    if (b.has_tid && (b.tid < tid_lo || b.tid >= tid_hi)) return;
 
-    const int32_t left_lo =
-        static_cast<int32_t>(std::max<int64_t>(b.left_lo, kMinInt + 1));
-    const int32_t left_hi =
-        static_cast<int32_t>(std::min<int64_t>(b.left_hi, kMaxInt - 1));
-    const int32_t right_lo =
-        static_cast<int32_t>(std::max<int64_t>(b.right_lo, kMinInt + 1));
-    const int32_t right_hi =
-        static_cast<int32_t>(std::min<int64_t>(b.right_hi, kMaxInt - 1));
-    const bool left_bounded = b.left_lo != kMinInt || b.left_hi != kMaxInt;
-    const bool right_bounded = b.right_lo != kMinInt || b.right_hi != kMaxInt;
-
-    // 1. Direct (tid, id) lookup.
-    if (b.has_id && b.has_tid) {
-      if (kind != 0) {
-        for (Row r : rel_.AttrRows(b.tid, b.id)) {
-          if (fn(r)) return;
+    int32_t tid = 0;
+    switch (probe.access) {
+      case Access::kValue:
+      case Access::kRun:
+      case Access::kFullScan:
+        break;
+      default:
+        if (!Int32Key(Key(f, probe.tid), &tid) || tid < tid_lo ||
+            tid >= tid_hi) {
+          return;
         }
-      }
-      if (kind != 1) {
-        const Row r = rel_.ElementRow(b.tid, b.id);
-        if (r != kNoRow && fn(r)) return;
-      }
-      return;
     }
-    // 2. Value index. The global index is ordered by (tid, id), so a shard
-    // binary-searches to its first tree and stops at its last.
-    if (b.has_value) {
-      auto rows = b.has_tid ? rel_.ValueRangeForTree(b.value, b.tid)
-                            : rel_.ValueRange(b.value);
-      auto it = rows.begin();
-      if (sharded && !b.has_tid) {
-        it = std::lower_bound(rows.begin(), rows.end(), tid_lo,
-                              [this](Row r, int32_t t) {
-                                return rel_.tid(r) < t;
-                              });
-      }
-      for (; it != rows.end(); ++it) {
-        if (sharded && !b.has_tid && rel_.tid(*it) >= tid_hi) break;
-        if (fn(*it)) return;
-      }
-      return;
-    }
-    // Also use a *static* value fact (value = 'saw' conjunct at this pos is
-    // covered above; a value conjunct scheduled here with literal rhs is in
-    // DeriveBounds already).
 
-    // 3. pid equality (children / siblings).
-    if (b.has_pid && b.has_tid) {
-      if (name != kNoSymbol) {
-        const RowRange tree = TreeSlice(slot, name, b.tid);
-        for (Row r : rel_.RunPidRange(tree, b.pid)) {
-          if (fn(r)) return;
+    switch (probe.access) {
+      case Access::kDirect: {
+        int32_t id;
+        if (!Int32Key(Key(f, probe.id), &id)) return;
+        if (kind != 0) {
+          for (Row r : rel_.AttrRows(tid, id)) {
+            if (fn(r)) return;
+          }
+        }
+        if (kind != 1) {
+          const Row r = rel_.ElementRow(tid, id);
+          if (r != kNoRow && fn(r)) return;
         }
         return;
       }
-      if (b.pid == 0) {
-        const Row root = rel_.ElementRow(b.tid, 1);
-        if (root != kNoRow && fn(root)) return;
-        return;
-      }
-      const Row parent = rel_.ElementRow(b.tid, b.pid);
-      if (parent == kNoRow) return;
-      for (Row r : rel_.ElementsInLeftRange(b.tid, rel_.left(parent),
-                                            rel_.right(parent))) {
-        if (rel_.pid(r) == b.pid && fn(r)) return;
-      }
-      return;
-    }
-    // 4. Tag run with ranges. These are the containment / sibling-order /
-    // edge-alignment workhorses: the access path gives a contiguous
-    // clustered slice (or a by-right row list).
-    if (name != kNoSymbol) {
-      if (b.has_tid) {
-        const RowRange tree = TreeSlice(slot, name, b.tid);
-        if (right_bounded && !left_bounded) {
-          for (Row r : rel_.RunRightRange(tree, right_lo, right_hi)) {
+      case Access::kValue:
+      case Access::kValueInTree: {
+        const int64_t key = Key(f, probe.value);
+        if (key <= 0 || key > std::numeric_limits<Symbol>::max()) return;
+        const Symbol value = static_cast<Symbol>(key);
+        if (probe.access == Access::kValueInTree) {
+          for (Row r : rel_.ValueRangeForTree(value, tid)) {
             if (fn(r)) return;
           }
           return;
         }
-        const RowRange range =
-            left_bounded ? rel_.RunLeftRange(tree, left_lo, left_hi) : tree;
+        // The global index is ordered by (tid, id), so a shard
+        // binary-searches to its first tree and stops at its last.
+        auto rows = rel_.ValueRange(value);
+        auto it = rows.begin();
+        if (sharded) {
+          it = std::lower_bound(rows.begin(), rows.end(), tid_lo,
+                                [this](Row r, int32_t t) {
+                                  return rel_.tid(r) < t;
+                                });
+        }
+        for (; it != rows.end(); ++it) {
+          if (sharded && rel_.tid(*it) >= tid_hi) break;
+          if (fn(*it)) return;
+        }
+        return;
+      }
+      case Access::kPidInSlice: {
+        int32_t pid;
+        if (!Int32Key(Key(f, probe.pid), &pid)) return;
+        const RowRange tree = TreeSlice(pp.slot_base + pos, name, tid);
+        for (Row r : rel_.RunPidRange(tree, pid)) {
+          if (fn(r)) return;
+        }
+        return;
+      }
+      case Access::kWildcardPid: {
+        int32_t pid;
+        if (!Int32Key(Key(f, probe.pid), &pid)) return;
+        if (pid == 0) {  // the root, id 1, is the only row with pid 0
+          const Row root = rel_.ElementRow(tid, 1);
+          if (root != kNoRow) EmitWithAttrs(tid, root, kind, fn);
+          return;
+        }
+        // Children lie inside their parent's interval.
+        const Row parent = rel_.ElementRow(tid, pid);
+        if (parent == kNoRow) return;
+        for (Row r : rel_.ElementsInLeftRange(tid, rel_.left(parent),
+                                              rel_.right(parent))) {
+          if (rel_.pid(r) == pid && EmitWithAttrs(tid, r, kind, fn)) return;
+        }
+        return;
+      }
+      case Access::kLeftRange:
+      case Access::kRightRange:
+      case Access::kSlice: {
+        // The containment / sibling-order / edge-alignment workhorses: a
+        // contiguous clustered slice, or a by-right row list.
+        const RowRange tree = TreeSlice(pp.slot_base + pos, name, tid);
+        RowRange range = tree;
+        if (probe.access != Access::kSlice) {
+          const Intervals iv = DeriveIntervals(f, probe);
+          int32_t lo, hi;
+          if (probe.access == Access::kRightRange) {
+            if (!Clamp(iv.right_lo, iv.right_hi, &lo, &hi)) return;
+            for (Row r : rel_.RunRightRange(tree, lo, hi)) {
+              if (fn(r)) return;
+            }
+            return;
+          }
+          if (!Clamp(iv.left_lo, iv.left_hi, &lo, &hi)) return;
+          range = rel_.RunLeftRange(tree, lo, hi);
+        }
         for (Row r = range.begin; r < range.end; ++r) {
           if (fn(r)) return;
         }
         return;
       }
-      const RowRange range = sharded ? rel_.RunTidRange(name, tid_lo, tid_hi)
-                                     : rel_.run(name);
-      for (Row r = range.begin; r < range.end; ++r) {
-        if (fn(r)) return;
-      }
-      return;
-    }
-    // 5. Wildcard within a tree: elements interleave with their attribute
-    // rows.
-    if (b.has_tid) {
-      auto rows = left_bounded
-                      ? rel_.ElementsInLeftRange(b.tid, left_lo, left_hi)
-                      : rel_.ElementsOfTree(b.tid);
-      for (Row r : rows) {
-        if (kind != 1 && fn(r)) return;
-        if (kind != 0) {
-          for (Row a : rel_.AttrRows(b.tid, rel_.id(r))) {
-            if (fn(a)) return;
-          }
+      case Access::kRun: {
+        const RowRange range = sharded ? rel_.RunTidRange(name, tid_lo, tid_hi)
+                                       : rel_.run(name);
+        for (Row r = range.begin; r < range.end; ++r) {
+          if (fn(r)) return;
         }
+        return;
       }
-      return;
-    }
-    // 6. Full scan.
-    for (Row r = 0; r < static_cast<Row>(rel_.row_count()); ++r) {
-      if (sharded && (rel_.tid(r) < tid_lo || rel_.tid(r) >= tid_hi)) {
-        continue;
+      case Access::kWildcardTree: {
+        // Elements interleave with their attribute rows.
+        std::span<const Row> rows = rel_.ElementsOfTree(tid);
+        if (!probe.ranges.empty()) {
+          const Intervals iv = DeriveIntervals(f, probe);
+          int32_t lo, hi;
+          if (!Clamp(iv.left_lo, iv.left_hi, &lo, &hi)) return;
+          rows = rel_.ElementsInLeftRange(tid, lo, hi);
+        }
+        for (Row r : rows) {
+          if (EmitWithAttrs(tid, r, kind, fn)) return;
+        }
+        return;
       }
-      if (kind >= 0 && static_cast<int>(rel_.kind(r)) != kind) continue;
-      if (fn(r)) return;
+      case Access::kFullScan:
+        for (Row r = 0; r < static_cast<Row>(rel_.row_count()); ++r) {
+          if (sharded && (rel_.tid(r) < tid_lo || rel_.tid(r) >= tid_hi)) {
+            continue;
+          }
+          if (kind >= 0 && static_cast<int>(rel_.kind(r)) != kind) continue;
+          if (fn(r)) return;
+        }
+        return;
     }
   }
 
   const NodeRelation& rel_;
   const ExecOptions& options_;
   ExecStats* stats_;
-  ExistsMemo* shared_memo_;
-  GlobalExistsMemo global_;
   const PreparedPlan* root_pp_ = nullptr;
   int32_t shard_lo_ = 0;
   int32_t shard_hi_ = kMaxInt;
-  // One cursor per (plan, position) slot of the prepared nest; EXISTS
-  // re-entries reuse their subplan's cursors.
+  // One cursor and one binding per (plan, position) slot of the prepared
+  // nest; EXISTS re-entries reuse their subplan's slots.
   std::vector<SliceCursor> cursors_;
-  std::unordered_map<const BoolExpr*, std::unordered_map<uint64_t, bool>>
-      memo_;
+  std::vector<Row> bound_;
 };
 
 }  // namespace
@@ -571,11 +499,9 @@ Result<QueryResult> PlanExecutor::Execute(const ExecPlan& plan,
 }
 
 Result<QueryResult> PlanExecutor::ExecutePrepared(const PreparedPlan& pp,
-                                                  ExecStats* stats,
-                                                  ExistsMemo* shared_memo,
-                                                  GlobalExistsMemo global) const {
+                                                  ExecStats* stats) const {
   if (stats != nullptr) stats->shards += 1;
-  Runner runner(rel_, options_, stats, shared_memo, global);
+  Runner runner(rel_, options_, stats);
   QueryResult out;
   LPATH_RETURN_IF_ERROR(runner.Run(pp, &out));
   return out;
@@ -583,11 +509,9 @@ Result<QueryResult> PlanExecutor::ExecutePrepared(const PreparedPlan& pp,
 
 Result<QueryResult> PlanExecutor::ExecuteShard(const PreparedPlan& pp,
                                                int32_t tid_lo, int32_t tid_hi,
-                                               ExecStats* stats,
-                                               ExistsMemo* shared_memo,
-                                               GlobalExistsMemo global) const {
+                                               ExecStats* stats) const {
   if (stats != nullptr) stats->shards += 1;
-  Runner runner(rel_, options_, stats, shared_memo, global);
+  Runner runner(rel_, options_, stats);
   QueryResult out;
   LPATH_RETURN_IF_ERROR(runner.RunShard(pp, tid_lo, tid_hi, &out));
   return out;

@@ -1,23 +1,21 @@
 // The index-nested-loop executor over storage::NodeRelation.
 //
-// Binds plan variables in the optimizer's order; for each new variable it
-// derives the best available access path from the conjuncts whose other
-// side is already bound — the clustered tag runs, (tid,left)/(tid,right)
-// ranges, the pid and value indexes, or direct (tid,id) lookup — then
-// filters with the remaining conjuncts and boolean filters. EXISTS subplans
-// run recursively with memoization on their correlation variable. Output is
-// the DISTINCT (tid, id) set of the output variable.
+// Binds plan variables in the optimizer's order. Each position runs the
+// index probe Prepare planned for it — the clustered tag runs, (tid,left)/
+// (tid,right) ranges, the pid and value indexes, or direct (tid,id) lookup
+// — then checks only the residual conjuncts the probe does not enforce, and
+// the boolean filters. EXISTS subplans run recursively through their own
+// planned probes, each binding into its own slots of one per-run array.
+// Output is the DISTINCT (tid, id) set of the output variable.
 
 #ifndef LPATHDB_SQL_EXECUTOR_H_
 #define LPATHDB_SQL_EXECUTOR_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 
 #include "common/result.h"
 #include "lpath/engine.h"
-#include "sql/exists_memo.h"
 #include "sql/optimizer.h"
 #include "storage/snapshot.h"
 
@@ -28,15 +26,12 @@ namespace sql {
 struct ExecStats {
   uint64_t candidates = 0;   ///< rows enumerated from access paths
   uint64_t bindings = 0;     ///< rows surviving conjuncts + filters
-  uint64_t subqueries = 0;   ///< EXISTS evaluations (after memo hits)
-  uint64_t memo_hits = 0;    ///< run-private EXISTS memo hits
-  /// Hits in the *shared* EXISTS memo (see sql::ExistsMemo): subquery
-  /// answers reused across the morsels of a query or across executions of
-  /// one cached plan, rather than re-derived by this run.
+  uint64_t subqueries = 0;   ///< EXISTS evaluations
+  /// Retired: the EXISTS memo levels these counted are gone, so they stay
+  /// 0. Kept only because the perfbench benchmark still reads them; they
+  /// go with the next change to the benchmark.
+  uint64_t memo_hits = 0;
   uint64_t shared_memo_hits = 0;
-  /// Hits in the snapshot-scoped *subplan* memo (fingerprint-keyed; see
-  /// service/subplan_memo.h): subquery answers derived by a *different*
-  /// top-level plan sharing a structurally equal EXISTS subtree.
   uint64_t subplan_memo_hits = 0;
   /// Plan executions: each ExecutePrepared/ExecuteShard call contributes 1,
   /// so rolled up per query this is the fan-out the service chose — 1 means
@@ -63,27 +58,12 @@ struct ExecStats {
     candidates += o.candidates;
     bindings += o.bindings;
     subqueries += o.subqueries;
-    memo_hits += o.memo_hits;
-    shared_memo_hits += o.shared_memo_hits;
-    subplan_memo_hits += o.subplan_memo_hits;
     shards += o.shards;
     morsels += o.morsels;
     steal_count += o.steal_count;
     sources = sources > o.sources ? sources : o.sources;
     delta_rows += o.delta_rows;
   }
-};
-
-/// Snapshot-scoped EXISTS memo attachment for one execution: `memo` is a
-/// session-wide fingerprint-keyed table shared by every plan prepared
-/// against one relation source, and `keys` maps this prepared plan's
-/// memoizable EXISTS nodes (all nesting levels) to their registry-verified
-/// subtree fingerprints. Nodes absent from `keys` — hash collisions the
-/// registry refused to share, or non-memoizable subtrees — simply skip the
-/// global level. A default-constructed value disables the feature.
-struct GlobalExistsMemo {
-  ExistsMemo* memo = nullptr;
-  const std::unordered_map<const BoolExpr*, uint64_t>* keys = nullptr;
 };
 
 /// Executes prepared plans. Stateless between calls; one executor can be
@@ -107,17 +87,9 @@ class PlanExecutor {
   Result<QueryResult> Execute(const ExecPlan& plan,
                               ExecStats* stats = nullptr) const;
 
-  /// Runs an already prepared plan. `shared_memo`, when non-null, is a
-  /// cross-run EXISTS memo consulted before (and filled alongside) the
-  /// run-private one; it must have been filled only against this (plan,
-  /// relation) pair — see sql::ExistsMemo for the contract. `global`
-  /// optionally adds the snapshot-scoped fingerprint-keyed memo level
-  /// consulted last and filled alongside the others; it must be scoped to
-  /// this relation source (see GlobalExistsMemo).
+  /// Runs an already prepared plan.
   Result<QueryResult> ExecutePrepared(const PreparedPlan& pp,
-                                      ExecStats* stats = nullptr,
-                                      ExistsMemo* shared_memo = nullptr,
-                                      GlobalExistsMemo global = {}) const;
+                                      ExecStats* stats = nullptr) const;
 
   /// Runs one shard of a prepared plan: the root frame's candidate
   /// enumeration is constrained to trees with tid in [tid_lo, tid_hi).
@@ -125,13 +97,10 @@ class PlanExecutor {
   /// the shard results over a partition of the tid space — deduplicated,
   /// since distinct bindings in different shards may project to the same
   /// output node — equals ExecutePrepared's result. Safe to call
-  /// concurrently from many threads with one shared PreparedPlan (and one
-  /// shared ExistsMemo — the morsel scheduler passes the same memo to
-  /// every concurrent kernel invocation of a query).
+  /// concurrently from many threads with one shared PreparedPlan.
   Result<QueryResult> ExecuteShard(const PreparedPlan& pp, int32_t tid_lo,
-                                   int32_t tid_hi, ExecStats* stats = nullptr,
-                                   ExistsMemo* shared_memo = nullptr,
-                                   GlobalExistsMemo global = {}) const;
+                                   int32_t tid_hi,
+                                   ExecStats* stats = nullptr) const;
 
   const ExecOptions& options() const { return options_; }
   const NodeRelation& relation() const { return rel_; }

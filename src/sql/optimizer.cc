@@ -192,6 +192,14 @@ void NormalizeOrientation(ExecPlan* plan) {
       });
 }
 
+/// The run a literal `name =` reads: its symbol, or — for a literal no
+/// symbol can equal (an unknown string resolves to -1) — a symbol past
+/// every run, whose run is empty.
+constexpr Symbol kNoRun = std::numeric_limits<Symbol>::max();
+Symbol NameRun(int64_t num) {
+  return num > 0 && num < kNoRun ? static_cast<Symbol>(num) : kNoRun;
+}
+
 /// Static per-variable access facts harvested from literal conjuncts.
 struct VarFacts {
   Symbol name = kNoSymbol;
@@ -209,7 +217,7 @@ std::vector<VarFacts> HarvestFacts(const ExecPlan& plan) {
     VarFacts& f = facts[c.lhs.var];
     switch (c.lhs.col) {
       case PlanCol::kName:
-        f.name = static_cast<Symbol>(c.rhs.num);
+        f.name = NameRun(c.rhs.num);
         f.has_name = true;
         break;
       case PlanCol::kValue:
@@ -352,6 +360,214 @@ Conjunct Orient(const Conjunct& c, int var_at_pos) {
   return c;
 }
 
+bool SameOperand(const Operand& a, const Operand& b) {
+  return a.var == b.var && a.col == b.col && a.num == b.num &&
+         a.is_string == b.is_string && a.str == b.str;
+}
+
+bool SameConjunct(const Conjunct& a, const Conjunct& b) {
+  return a.op == b.op && SameOperand(a.lhs, b.lhs) && SameOperand(a.rhs, b.rhs);
+}
+
+/// tid equivalence classes: variables linked (transitively) by tid = tid
+/// conjuncts share a class, named by a representative variable, so a
+/// variable's tree can come from *any* bound member of its class.
+std::vector<int> TidClasses(const ExecPlan& p) {
+  std::vector<int> parent(p.num_vars);
+  for (int v = 0; v < p.num_vars; ++v) parent[v] = v;
+  auto find = [&parent](int v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  for (const Conjunct& c : p.conjuncts) {
+    if (c.op == CmpOp::kEq && c.lhs.col == PlanCol::kTid &&
+        c.rhs.col == PlanCol::kTid && IsLocal(c.lhs) && IsLocal(c.rhs)) {
+      parent[find(c.lhs.var)] = find(c.rhs.var);
+    }
+  }
+  for (int v = 0; v < p.num_vars; ++v) parent[v] = find(v);
+  return parent;
+}
+
+KeyRef KeyOf(const Operand& o) { return KeyRef{o.var, o.col, o.num}; }
+
+/// Plans the probe of position `pos`: picks the access path from the
+/// conjuncts whose other side is known before the variable binds, records
+/// where each key comes from, and leaves as residual every conjunct the
+/// path does not enforce.
+PlannedProbe PlanProbe(const PreparedPlan& pp,
+                       const std::vector<int>& tid_class, int pos) {
+  const int v = pp.order[pos];
+  const std::vector<Conjunct>& cs = pp.conjuncts_at[pos];
+  const Symbol name = pp.var_name[v];
+  auto ready = [&](const Conjunct& c) {
+    if (!IsLocal(c.lhs) || c.lhs.var != v) return false;
+    return c.rhs.is_literal() || c.rhs.is_outer() ||
+           pp.pos_of[c.rhs.var] < pos;
+  };
+
+  // The first ready equality on each key column, and the ready comparisons
+  // on left and right.
+  constexpr int kNone = -1;
+  int tid_c = kNone, id_c = kNone, pid_c = kNone, value_c = kNone;
+  int name_c = kNone;
+  bool left = false, right = false, left_eq = false, right_eq = false;
+  for (int i = 0; i < static_cast<int>(cs.size()); ++i) {
+    const Conjunct& c = cs[i];
+    if (!ready(c)) continue;
+    const bool eq = c.op == CmpOp::kEq;
+    switch (c.lhs.col) {
+      case PlanCol::kTid:
+        if (eq && tid_c == kNone) tid_c = i;
+        break;
+      case PlanCol::kId:
+        if (eq && id_c == kNone) id_c = i;
+        break;
+      case PlanCol::kPid:
+        if (eq && pid_c == kNone) pid_c = i;
+        break;
+      case PlanCol::kValue:
+        // Element rows hold value kNoSymbol and sit in no value index, so
+        // only a literal symbol can key the index.
+        if (eq && value_c == kNone && c.rhs.is_literal() &&
+            c.rhs.num != kNoSymbol) {
+          value_c = i;
+        }
+        break;
+      case PlanCol::kName:
+        if (eq && name_c == kNone && c.rhs.is_literal() &&
+            name != kNoSymbol && NameRun(c.rhs.num) == name) {
+          name_c = i;
+        }
+        break;
+      case PlanCol::kLeft:
+        left |= c.op != CmpOp::kNe;
+        left_eq |= eq;
+        break;
+      case PlanCol::kRight:
+        right |= c.op != CmpOp::kNe;
+        right_eq |= eq;
+        break;
+      default:
+        break;
+    }
+  }
+
+  PlannedProbe probe;
+  // The tree: a direct tid equality, else any tid-linked variable bound
+  // earlier, else the class's link to the parent binding.
+  bool has_tid = tid_c != kNone;
+  if (has_tid) {
+    probe.tid = KeyOf(cs[tid_c].rhs);
+  } else {
+    for (int q = 0; q < pos && !has_tid; ++q) {
+      const int u = pp.order[q];
+      if (tid_class[u] == tid_class[v]) {
+        probe.tid = KeyRef{u, PlanCol::kTid, 0};
+        has_tid = true;
+      }
+    }
+    for (const Conjunct& c : pp.plan.conjuncts) {
+      if (has_tid) break;
+      if (c.op != CmpOp::kEq || c.lhs.col != PlanCol::kTid ||
+          c.rhs.col != PlanCol::kTid) {
+        continue;
+      }
+      for (const auto& [local, outer] : {std::pair{&c.lhs, &c.rhs},
+                                         std::pair{&c.rhs, &c.lhs}}) {
+        if (!has_tid && IsLocal(*local) && outer->is_outer() &&
+            tid_class[local->var] == tid_class[v]) {
+          probe.tid = KeyOf(*outer);
+          has_tid = true;
+        }
+      }
+    }
+  }
+
+  // Which conjuncts the chosen path enforces.
+  std::vector<bool> enforced(cs.size(), false);
+  auto enforce = [&](int i) {
+    if (i != kNone) enforced[i] = true;
+  };
+  auto enforce_col = [&](PlanCol col) {
+    for (int i = 0; i < static_cast<int>(cs.size()); ++i) {
+      if (ready(cs[i]) && cs[i].lhs.col == col && cs[i].op != CmpOp::kNe) {
+        enforced[i] = true;
+      }
+    }
+  };
+  // Interval keys: `col`'s own comparisons, plus those of the other column
+  // that bound it through left < right (upper bounds on right cap left,
+  // lower bounds on left raise right).
+  auto add_ranges = [&](PlanCol col) {
+    for (const Conjunct& c : cs) {
+      if (!ready(c) || c.op == CmpOp::kNe) continue;
+      const bool upper = c.op == CmpOp::kEq || c.op == CmpOp::kLe ||
+                         c.op == CmpOp::kLt;
+      const bool lower = c.op == CmpOp::kEq || c.op == CmpOp::kGe ||
+                         c.op == CmpOp::kGt;
+      const bool own = c.lhs.col == col;
+      const bool caps =
+          col == PlanCol::kLeft ? c.lhs.col == PlanCol::kRight && upper
+                                : c.lhs.col == PlanCol::kLeft && lower;
+      if (own || caps) {
+        probe.ranges.push_back(RangeKey{c.lhs.col, c.op, KeyOf(c.rhs)});
+      }
+    }
+  };
+
+  if (id_c != kNone && has_tid) {
+    probe.access = Access::kDirect;
+    probe.id = KeyOf(cs[id_c].rhs);
+    enforce(tid_c);
+    enforce(id_c);
+  } else if (value_c != kNone) {
+    probe.access = has_tid ? Access::kValueInTree : Access::kValue;
+    probe.value = KeyOf(cs[value_c].rhs);
+    if (has_tid) enforce(tid_c);
+    enforce(value_c);
+  } else if (pid_c != kNone && has_tid) {
+    probe.pid = KeyOf(cs[pid_c].rhs);
+    if (name != kNoSymbol) {
+      probe.access = Access::kPidInSlice;
+      enforce(name_c);
+    } else {
+      probe.access = Access::kWildcardPid;
+    }
+    enforce(tid_c);
+    enforce(pid_c);
+  } else if (name != kNoSymbol) {
+    enforce(name_c);
+    if (!has_tid) {
+      probe.access = Access::kRun;
+    } else {
+      enforce(tid_c);
+      if (!left && !right) {
+        probe.access = Access::kSlice;
+      } else if (right && (!left || (right_eq && !left_eq))) {
+        // Equality first: an equality on right beats a range on left.
+        probe.access = Access::kRightRange;
+        add_ranges(PlanCol::kRight);
+        enforce_col(PlanCol::kRight);
+      } else {
+        probe.access = Access::kLeftRange;
+        add_ranges(PlanCol::kLeft);
+        enforce_col(PlanCol::kLeft);
+      }
+    }
+  } else if (has_tid) {
+    probe.access = Access::kWildcardTree;
+    enforce(tid_c);
+    add_ranges(PlanCol::kLeft);
+    enforce_col(PlanCol::kLeft);
+  }
+
+  for (int i = 0; i < static_cast<int>(cs.size()); ++i) {
+    if (!enforced[i]) probe.residual.push_back(cs[i]);
+  }
+  return probe;
+}
+
 Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
     ExecPlan plan, const NodeRelation& rel, const ExecOptions& options,
     bool always_empty) {
@@ -381,45 +597,21 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
   pp->conjuncts_at.resize(std::max(1, p.num_vars));
   for (const Conjunct& c : p.conjuncts) {
     const int pos = ReadyPos(c, pp->pos_of);
-    pp->conjuncts_at[pos].push_back(Orient(c, pp->order.empty() ? -1 : pp->order[pos]));
+    const Conjunct oriented =
+        Orient(c, pp->order.empty() ? -1 : pp->order[pos]);
+    std::vector<Conjunct>& at = pp->conjuncts_at[pos];
+    // Scoped steps restate their axis' containment conjuncts; one copy of
+    // each is enough.
+    if (std::none_of(at.begin(), at.end(), [&](const Conjunct& d) {
+          return SameConjunct(d, oriented);
+        })) {
+      at.push_back(oriented);
+    }
   }
-  // tid equivalence classes (union-find over tid = tid conjuncts).
-  {
-    std::vector<int> parent(p.num_vars);
-    for (int v = 0; v < p.num_vars; ++v) parent[v] = v;
-    std::function<int(int)> find = [&](int v) {
-      while (parent[v] != v) v = parent[v] = parent[parent[v]];
-      return v;
-    };
-    for (const Conjunct& c : p.conjuncts) {
-      if (c.op != CmpOp::kEq) continue;
-      if (c.lhs.col != PlanCol::kTid || c.rhs.col != PlanCol::kTid) continue;
-      if (IsLocal(c.lhs) && IsLocal(c.rhs)) {
-        parent[find(c.lhs.var)] = find(c.rhs.var);
-      }
-    }
-    pp->tid_class.assign(p.num_vars, -1);
-    for (int v = 0; v < p.num_vars; ++v) pp->tid_class[v] = find(v);
-    pp->class_outer_tid.assign(p.num_vars, Operand{});
-    pp->class_has_outer.assign(p.num_vars, 0);
-    for (const Conjunct& c : p.conjuncts) {
-      if (c.op != CmpOp::kEq) continue;
-      if (c.lhs.col != PlanCol::kTid || c.rhs.col != PlanCol::kTid) continue;
-      const Operand* local = nullptr;
-      const Operand* outer = nullptr;
-      if (IsLocal(c.lhs) && c.rhs.is_outer()) {
-        local = &c.lhs;
-        outer = &c.rhs;
-      } else if (IsLocal(c.rhs) && c.lhs.is_outer()) {
-        local = &c.rhs;
-        outer = &c.lhs;
-      } else {
-        continue;
-      }
-      const int cls = pp->tid_class[local->var];
-      pp->class_outer_tid[cls] = *outer;
-      pp->class_has_outer[cls] = 1;
-    }
+  const std::vector<int> tid_class = TidClasses(p);
+  pp->probes.reserve(pp->order.size());
+  for (int pos = 0; pos < static_cast<int>(pp->order.size()); ++pos) {
+    pp->probes.push_back(PlanProbe(*pp, tid_class, pos));
   }
 
   pp->filters_at.resize(std::max(1, p.num_vars));
@@ -431,11 +623,11 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
     pp->filters_at[pos].push_back(f.get());
   }
 
-  // Prepare subplans recursively.
-  std::vector<const BoolExpr*> stack;
-  for (const auto& f : p.filters) stack.push_back(f.get());
+  // Prepare subplans recursively; each kExists node records its index.
+  std::vector<BoolExpr*> stack;
+  for (auto& f : pp->plan.filters) stack.push_back(f.get());
   while (!stack.empty()) {
-    const BoolExpr* e = stack.back();
+    BoolExpr* e = stack.back();
     stack.pop_back();
     switch (e->kind) {
       case BoolExpr::Kind::kAnd:
@@ -452,18 +644,8 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
         LPATH_ASSIGN_OR_RETURN(
             std::unique_ptr<PreparedPlan> sub,
             PrepareResolved(e->sub->Clone(), rel, options, false));
-        std::set<int> outer;
-        CollectOuterAsLocal(*e->sub, &outer);
-        const int outer_var = outer.size() == 1 ? *outer.begin() : -1;
-        pp->sub_outer_var[e] = outer_var;
-        if (outer_var >= 0) {
-          // Memoizable subtree: fingerprint the resolved form (symbol ids,
-          // canonical orientation, correlation variable alpha-renamed) so
-          // structurally equal subtrees in *other* plans prepared against
-          // this relation can share one memo key space.
-          pp->sub_fingerprint[e] = PlanFingerprint(*e->sub);
-        }
-        pp->subs.emplace(e, std::move(sub));
+        e->sub_index = static_cast<int>(pp->subs.size());
+        pp->subs.push_back(std::move(sub));
         break;
       }
     }
@@ -476,7 +658,7 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
 int NumberSlots(PreparedPlan* pp, int next) {
   pp->slot_base = next;
   next += static_cast<int>(pp->order.size());
-  for (auto& entry : pp->subs) next = NumberSlots(entry.second.get(), next);
+  for (auto& sub : pp->subs) next = NumberSlots(sub.get(), next);
   pp->slot_count = next - pp->slot_base;
   return next;
 }

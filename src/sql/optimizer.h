@@ -11,16 +11,17 @@
 //      ablation benchmark;
 //   3. conjuncts are oriented (later-bound variable on the left) and
 //      scheduled at the position where they first become checkable;
-//   4. EXISTS subplans are prepared recursively, and their correlation
-//      variables identified for memoization;
-//   5. per-variable static facts (literal name / kind) are recorded and
-//      every (plan, position) of the nest gets a dense cursor slot.
+//   4. each position's index probe is planned: its access path, the source
+//      of every key (a literal, an earlier variable, the parent binding or
+//      a tid-linked variable), and the conjuncts it enforces — the rest
+//      stay residual and are checked per candidate;
+//   5. EXISTS subplans are prepared recursively, and every (plan,
+//      position) of the nest gets a dense executor slot.
 
 #ifndef LPATHDB_SQL_OPTIMIZER_H_
 #define LPATHDB_SQL_OPTIMIZER_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -45,6 +46,54 @@ struct ExecOptions {
   bool distinct_early_exit = true;
 };
 
+/// Where a probe reads one key from: a literal, a column of a variable
+/// bound at an earlier position, or (subplans) a column of the parent
+/// plan's binding. `var` uses Operand's encoding.
+struct KeyRef {
+  int var = Operand::kLiteral;
+  PlanCol col = PlanCol::kTid;
+  int64_t num = 0;  ///< the literal (var == Operand::kLiteral)
+};
+
+/// The index access path of one position's probe.
+enum class Access : uint8_t {
+  kDirect,        ///< (tid, id): the element row and its attribute rows
+  kValue,         ///< value index over the whole relation
+  kValueInTree,   ///< value index within one tree
+  kPidInSlice,    ///< pid within the tree slice of the name's run
+  kWildcardPid,   ///< any-name rows of a tree whose pid is the key (a
+                  ///< key of 0 reads the root)
+  kLeftRange,     ///< left range of the tree slice
+  kRightRange,    ///< right range of the tree slice, in by-right order
+  kSlice,         ///< the whole tree slice
+  kRun,           ///< the whole name run
+  kWildcardTree,  ///< the rows of one tree, within a left range if `ranges`
+  kFullScan,      ///< every row of the relation
+};
+
+/// A left or right comparison folded into a probe's intervals.
+struct RangeKey {
+  PlanCol col = PlanCol::kLeft;  ///< kLeft or kRight
+  CmpOp op = CmpOp::kEq;         ///< never kNe
+  KeyRef key;
+};
+
+/// The probe of one position, decided once by Prepare: the join order
+/// fixes which variables are bound there, so the access path, the source
+/// of every key, and the conjuncts the probe already enforces are static.
+struct PlannedProbe {
+  Access access = Access::kFullScan;
+  /// The keys `access` reads; unused ones stay default.
+  KeyRef tid, id, pid, value;
+  /// Comparisons bounding the probe's interval (range and wildcard-tree
+  /// paths). Rows satisfy left < right, so an upper bound on right caps
+  /// left and a lower bound on left raises right; both kinds appear here.
+  std::vector<RangeKey> ranges;
+  /// The position's conjuncts the probe does not enforce, checked on every
+  /// candidate.
+  std::vector<Conjunct> residual;
+};
+
 /// A plan ready for execution against one NodeRelation. Owns a rewritten
 /// copy of the plan, so it must not outlive the relation (symbols) but is
 /// independent of the original ExecPlan.
@@ -57,44 +106,37 @@ struct PreparedPlan {
 
   /// Per variable: the symbol of its literal `name =` conjunct (its tag
   /// run), or kNoSymbol for a wildcard; and its literal `kind =` value, or
-  /// -1 when unconstrained. Static facts the executor's access-path choice
-  /// reads on every enumeration.
+  /// -1 when unconstrained.
   std::vector<Symbol> var_name;
   std::vector<int> var_kind;
 
-  /// Executor cursor slots: position p of this plan owns slot
+  /// Executor slots: position p (and variable p) of this plan owns slot
   /// `slot_base + p`. Prepare numbers the positions of every plan in the
   /// EXISTS nest densely, so the root's `slot_count` (this plan's slots
-  /// plus all nested ones) sizes a flat per-run cursor array.
+  /// plus all nested ones) sizes the flat per-run cursor and binding
+  /// arrays.
   int slot_base = 0;
   int slot_count = 0;
 
   /// Conjuncts checkable once the variable at position p is bound
-  /// (oriented: lhs.var is that variable whenever a local var is involved).
+  /// (oriented: lhs.var is that variable whenever a local var is involved;
+  /// exact duplicates dropped).
   std::vector<std::vector<Conjunct>> conjuncts_at;
+
+  /// Per position: the planned probe, whose residual conjuncts are the
+  /// part of conjuncts_at[p] it does not enforce.
+  std::vector<PlannedProbe> probes;
 
   /// Filters evaluable once position p is bound.
   std::vector<std::vector<const BoolExpr*>> filters_at;
 
-  /// Prepared subplans for every kExists node in the filters.
-  std::unordered_map<const BoolExpr*, std::unique_ptr<PreparedPlan>> subs;
-
-  /// For memoization: the single parent variable a subplan correlates on,
-  /// or -1 if it references zero or multiple parent variables.
-  std::unordered_map<const BoolExpr*, int> sub_outer_var;
+  /// Prepared subplans, indexed by the kExists node's `sub_index`.
+  std::vector<std::unique_ptr<PreparedPlan>> subs;
 
   /// Structural fingerprint of the *input* (unresolved) plan — see
   /// sql/fingerprint.h. Corpus-independent: the same value for this plan
   /// prepared against any relation, so it can key a cross-source cache.
   uint64_t fingerprint = 0;
-
-  /// Structural fingerprints of the *resolved* EXISTS subtrees, for
-  /// memoizable subplans only (single correlation variable). Resolved
-  /// symbol ids are per-relation, so these keys are valid exactly for the
-  /// relation this plan was prepared against — the isolation the
-  /// snapshot-scoped subplan memo registry needs. Only this level's
-  /// direct subplans appear; nested levels carry their own maps.
-  std::unordered_map<const BoolExpr*, uint64_t> sub_fingerprint;
 
   /// True if some conjunct can never hold (e.g. name = unknown tag).
   bool always_empty = false;
@@ -104,16 +146,6 @@ struct PreparedPlan {
   /// service's adaptive heuristic runs the query serially when this is
   /// small (fan-out overhead would dominate).
   size_t root_cardinality = 0;
-
-  /// tid equivalence classes: variables linked (transitively) by tid
-  /// equality conjuncts share a class, so the executor can derive a
-  /// variable's tree from *any* bound variable in its class — not only
-  /// from the variable its tid conjunct happens to mention.
-  std::vector<int> tid_class;  ///< per variable; -1 = unconstrained
-  /// Per class: an outer-reference operand whose tid the class equals
-  /// (correlated subplans), or a literal-free invalid operand.
-  std::vector<Operand> class_outer_tid;  ///< indexed by class id
-  std::vector<uint8_t> class_has_outer;
 };
 
 /// Prepares `plan` for execution against `rel`.

@@ -7,6 +7,14 @@
 // Attribute rows (e.g. name "@lex", value "saw") carry their element's label
 // (Definition 4.1, rule 8) and are distinguished by RowKind.
 //
+// Interval invariant: every row has 0 < left < right < INT32_MAX. LPath
+// labels are unit leaf intervals counted from 1; in the XPath scheme a
+// node's start tag precedes its end tag; attribute rows copy their
+// element's label. Built, image-opened, delta and merged relations all
+// keep it. The executor's probe planning relies on it: an upper bound on
+// right caps left, a lower bound on left raises right, and INT32_MAX can
+// serve as an exclusive upper probe key.
+//
 // Access paths exposed here are what the SQL executor uses:
 //   - a per-tag "run" (contiguous, sorted by tid,left,right,depth,id);
 //   - a per-tree "slice" of a run (RunForTree), located once;

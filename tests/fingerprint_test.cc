@@ -1,4 +1,4 @@
-// Structural plan fingerprint tests. Three layers under test:
+// Structural plan fingerprint tests. Two layers under test:
 //
 //   sql/fingerprint.h      the canonical hash and PlanEquals — value-only
 //                          (address/ASLR independent), alpha-renames outer
@@ -6,9 +6,6 @@
 //                          literal-first comparisons, and agrees with
 //                          PlanEquals exactly (equal fp <=> equal plan,
 //                          modulo engineered 64-bit collisions);
-//   service/subplan_memo.h the snapshot-scoped registry that shares EXISTS
-//                          answers across *different* top-level plans and
-//                          refuses verified hash collisions;
 //   service/plan_cache.h + QueryService
 //                          the serving contract: N differently spelled
 //                          queries of one structure cost exactly one
@@ -32,7 +29,6 @@
 #include "plan/compile.h"
 #include "plan/exec_plan.h"
 #include "service/query_service.h"
-#include "service/subplan_memo.h"
 #include "sql/optimizer.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
@@ -168,9 +164,9 @@ TEST(FingerprintTest, LiteralFirstComparisonsAreMirrored) {
 }
 
 TEST(FingerprintTest, EscapingOuterRefsAreAlphaRenamed) {
-  // An EXISTS subtree is hashed standalone when it becomes a subplan-memo
-  // key; which parent variable it happens to correlate with must not
-  // change the key, only the *pattern* of correlation.
+  // An EXISTS subtree hashed standalone: which parent variable it happens
+  // to correlate with must not change the hash, only the *pattern* of
+  // correlation.
   auto subtree = [](int outer_var) {
     ExecPlan p;
     p.num_vars = 1;
@@ -217,23 +213,6 @@ TEST(FingerprintTest, EscapingOuterRefsAreAlphaRenamed) {
   const ExecPlan n1 = nested(1);
   EXPECT_NE(sql::PlanFingerprint(n0), sql::PlanFingerprint(n1));
   EXPECT_FALSE(sql::PlanEquals(n0, n1));
-}
-
-// ---------------------------------------------------------------------------
-// Collision fallback
-
-TEST(SubplanMemoRegistryTest, RefusesVerifiedCollisions) {
-  service::SubplanMemoRegistry registry(/*memo_entries=*/64);
-  const ExecPlan a = MustCompile("//NP");
-  const ExecPlan b = MustCompile("//VP");
-  // Force both subtrees under one key, as a 64-bit collision would.
-  EXPECT_TRUE(registry.Register(42, a));
-  EXPECT_TRUE(registry.Register(42, a.Clone()));  // structural match shares
-  EXPECT_FALSE(registry.Register(42, b));         // collision is refused
-  const service::SubplanMemoRegistry::Stats stats = registry.stats();
-  EXPECT_EQ(stats.subtrees, 1u);
-  EXPECT_EQ(stats.cross_plan, 1u);
-  EXPECT_EQ(stats.collisions, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,29 +268,6 @@ TEST(FingerprintServiceTest, FingerprintsAgreeAcrossCorpora) {
     EXPECT_NE(pa.value()->fingerprint, 0u) << q;
     EXPECT_EQ(pa.value()->fingerprint, pb.value()->fingerprint) << q;
   }
-}
-
-TEST(FingerprintServiceTest, CrossPlanExistsMemoServesSecondPlan) {
-  // `//_[...]` computes the EXISTS answer for every node row; `//NP[...]`
-  // carries a structurally identical subtree correlated over a subset of
-  // those rows, so its probes must be answered by the registry memo filled
-  // by the first plan — the cross-plan hits the per-plan memos of PR 4
-  // could never produce.
-  auto service = std::make_unique<service::QueryService>(
-      MustBuild(testing::RandomCorpus(55, 26)));
-  const std::string wide = "//_[//N or @lex='zzzunknown']";
-  const std::string narrow = "//NP[//N or @lex='zzzunknown']";
-  ASSERT_TRUE(service->Query(wide).ok());
-  const service::ServiceStats after_wide = service->Stats();
-  EXPECT_EQ(after_wide.exec.subplan_memo_hits, 0u);
-  ASSERT_TRUE(service->Query(narrow).ok());
-  const service::ServiceStats stats = service->Stats();
-  EXPECT_GT(stats.exec.subplan_memo_hits, 0u);
-  // Every memoizable subtree of the narrow plan (the path probe and the
-  // attribute probe both compile to EXISTS) matched a representative the
-  // wide plan registered.
-  EXPECT_GT(stats.subplans.cross_plan, 0u);
-  EXPECT_EQ(stats.subplans.collisions, 0u);
 }
 
 // ---------------------------------------------------------------------------

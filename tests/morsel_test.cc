@@ -6,10 +6,9 @@
 //   - morsel execution (sync Query and QueryStream) must be result-
 //     identical to serial ExecutePrepared — differential over the fuzz
 //     query generator;
-//   - the shared EXISTS memo must serve repeated executions of a cached
-//     plan across morsels (shared_memo_hits observable), and survive
-//     concurrent morsels plus snapshot hot swaps without races (this
-//     suite runs under ThreadSanitizer in CI).
+//   - EXISTS-heavy queries must survive concurrent morsels plus snapshot
+//     hot swaps without races (this suite runs under ThreadSanitizer in
+//     CI).
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@
 #include "gen/generator.h"
 #include "lpath/engines.h"
 #include "service/query_service.h"
-#include "sql/exists_memo.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
 
@@ -210,62 +208,11 @@ TEST_F(MorselServiceTest, StreamedMorselBatchesMatchSerialOnSkewedCorpus) {
   }
 }
 
-TEST_F(MorselServiceTest, SharedMemoServesLaterExecutionsAcrossMorsels) {
-  auto service = MakeMorselService();
-  // The OR keeps the path predicate a filter (not unnested), so //N is a
-  // correlated EXISTS subplan evaluated per VP binding (non-empty result:
-  // most VPs dominate a noun in the skew grammar).
-  const std::string q = "//VP[//N or @lex='zzzunknown']";
-  Result<QueryResult> first = service->Query(q);
-  ASSERT_TRUE(first.ok());
-  ASSERT_GT(first->count(), 0u);
-  const service::ServiceStats after_first = service->Stats();
-  ASSERT_GE(after_first.exec.morsels, 2u) << "query did not fan out";
-
-  Result<QueryResult> second = service->Query(q);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value(), second.value());
-  Result<QueryResult> expected = serial_->Run(q);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(first.value(), expected.value());
-
-  // The second execution answered its EXISTS probes from the plan's shared
-  // memo instead of re-deriving them morsel-privately.
-  const service::ServiceStats stats = service->Stats();
-  EXPECT_GT(stats.exec.shared_memo_hits, 0u);
-  // And the reuse replaced real subquery work: run two evaluated fewer
-  // fresh subqueries than run one.
-  EXPECT_LT(stats.exec.subqueries, 2 * after_first.exec.subqueries);
-}
-
-TEST(ExistsMemoTest, LookupInsertAndCapacity) {
-  sql::ExistsMemo memo(/*max_entries=*/16);  // one entry per stripe
-  // Distinct 64-bit keys as subplan identities (callers use node addresses
-  // or subtree fingerprints; the memo treats them as opaque).
-  const uint64_t a = 0xa11ce, b = 0xb0b;
-  EXPECT_FALSE(memo.Lookup(a, 1).has_value());
-  memo.Insert(a, 1, true);
-  memo.Insert(a, 2, false);
-  memo.Insert(b, 1, false);
-  ASSERT_TRUE(memo.Lookup(a, 1).has_value());
-  EXPECT_TRUE(*memo.Lookup(a, 1));
-  EXPECT_FALSE(*memo.Lookup(a, 2));
-  EXPECT_FALSE(*memo.Lookup(b, 1));
-  EXPECT_FALSE(memo.Lookup(b, 2).has_value());
-
-  // Saturate: inserts beyond the per-stripe share are dropped, lookups
-  // keep answering, nothing already stored is evicted.
-  for (uint64_t k = 0; k < 1000; ++k) memo.Insert(b, 100 + k, true);
-  EXPECT_LE(memo.size(), 1000u + 3u);
-  EXPECT_TRUE(*memo.Lookup(a, 1));
-}
-
 TEST(MorselMemoHammerTest, ConcurrentMorselsAndHotSwapsStayConsistent) {
   // Clients hammer EXISTS-heavy queries (all morsels of each execution
-  // share one striped memo) while a swapper republishes alternating
-  // snapshots; every answer must match one of the two snapshots' truths
-  // and the memo must never leak stale answers across a swap. TSan runs
-  // this in CI.
+  // share one prepared plan) while a swapper republishes alternating
+  // snapshots; every answer must match one of the two snapshots' truths.
+  // TSan runs this in CI.
   Result<Corpus> corpus_a = gen::GenerateSkewed(48, /*seed=*/7);
   Result<Corpus> corpus_b = gen::GenerateSkewed(56, /*seed=*/99);
   ASSERT_TRUE(corpus_a.ok());

@@ -1,12 +1,14 @@
 // Unit tests for the plan preparation stage (sql/optimizer.h): literal
-// resolution, cardinality-driven join ordering, conjunct scheduling and
-// orientation, subplan correlation analysis.
+// resolution, cardinality-driven join ordering, conjunct scheduling,
+// orientation and deduplication, and planned probes.
 
 #include "sql/optimizer.h"
 
 #include <gtest/gtest.h>
 
+#include "gen/generator.h"
 #include "lpath/engines.h"
+#include "lpath/eval_nav.h"
 #include "sql/parser.h"
 #include "test_util.h"
 
@@ -164,8 +166,68 @@ TEST_F(OptimizerTest, SubplanCorrelationIdentified) {
       "b.pid = a.id AND b.name = 'Det')");
   ASSERT_EQ(pp->plan.filters.size(), 1u);
   const BoolExpr* e = pp->plan.filters[0].get();
-  ASSERT_TRUE(pp->subs.count(e));
-  EXPECT_EQ(pp->sub_outer_var.at(e), 0);  // correlates on variable a
+  ASSERT_EQ(e->sub_index, 0);
+  ASSERT_EQ(pp->subs.size(), 1u);
+  // The subplan's first probe takes its tree (and its parent id) from the
+  // outer binding of variable a: the pid probe of Det's tree slice.
+  const sql::PlannedProbe& probe = pp->subs[0]->probes[0];
+  EXPECT_EQ(probe.access, sql::Access::kPidInSlice);
+  EXPECT_EQ(probe.tid.var, Operand::kOuterVarBase + 0);
+  EXPECT_EQ(probe.tid.col, PlanCol::kTid);
+  EXPECT_EQ(probe.pid.var, Operand::kOuterVarBase + 0);
+  EXPECT_EQ(probe.pid.col, PlanCol::kId);
+  // tid, pid and name are all enforced by that probe.
+  EXPECT_TRUE(probe.residual.empty());
+}
+
+/// Fails when two conjuncts scheduled at one position of `pp`, or of any
+/// plan nested in it, are identical.
+void ExpectNoDuplicateConjuncts(const sql::PreparedPlan& pp,
+                                const std::string& query) {
+  for (size_t pos = 0; pos < pp.conjuncts_at.size(); ++pos) {
+    const std::vector<Conjunct>& at = pp.conjuncts_at[pos];
+    for (size_t i = 0; i < at.size(); ++i) {
+      for (size_t j = i + 1; j < at.size(); ++j) {
+        const bool same =
+            at[i].op == at[j].op && at[i].lhs.var == at[j].lhs.var &&
+            at[i].lhs.col == at[j].lhs.col && at[i].lhs.num == at[j].lhs.num &&
+            at[i].rhs.var == at[j].rhs.var && at[i].rhs.col == at[j].rhs.col &&
+            at[i].rhs.num == at[j].rhs.num;
+        EXPECT_FALSE(same) << query << ": position " << pos << " holds "
+                           << "conjuncts " << i << " and " << j << " twice";
+      }
+    }
+  }
+  for (const auto& sub : pp.subs) ExpectNoDuplicateConjuncts(*sub, query);
+}
+
+TEST(OptimizerDedupTest, ScopedQueriesHoldNoDuplicateConjuncts) {
+  // Scoped steps compile their axis' containment conjuncts a second time;
+  // Prepare keeps one copy, and the answers do not change.
+  Result<Corpus> corpus = gen::GenerateWsj(400, /*seed=*/11);
+  ASSERT_TRUE(corpus.ok());
+  Result<NodeRelation> rel = NodeRelation::Build(corpus.value());
+  ASSERT_TRUE(rel.ok());
+  LPathEngine engine(rel.value());
+  NavigationalEngine nav(corpus.value());
+  size_t answers = 0;
+  for (const std::string q :
+       {"//VP{//NP$}", "//VP[{//^VB->NP->PP$}]",
+        "//S[{//_[@lex=what]->_[@lex=building]}]"}) {
+    Result<ExecPlan> plan = engine.Translate(q);
+    ASSERT_TRUE(plan.ok()) << q << " -> " << plan.status();
+    Result<std::unique_ptr<sql::PreparedPlan>> pp =
+        sql::Prepare(plan.value(), rel.value(), {});
+    ASSERT_TRUE(pp.ok()) << pp.status();
+    ExpectNoDuplicateConjuncts(*pp.value(), q);
+    Result<QueryResult> got = engine.Run(q);
+    Result<QueryResult> want = nav.Run(q);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_EQ(got.value(), want.value()) << q;
+    answers += got->count();
+  }
+  EXPECT_GT(answers, 0u);
 }
 
 TEST_F(OptimizerTest, StringComparisonWithOrderingRejected) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
@@ -336,6 +337,57 @@ TEST_F(TreeSliceProbeTest, MergeCompactedRelation) {
   ASSERT_TRUE(compacted.ok()) << compacted.status();
   ASSERT_EQ(compacted.value()->relation().tree_count(), 27);
   ExpectSliceProbesMatchBruteForce(compacted.value()->relation(), 4);
+}
+
+/// The interval invariant the executor's probe planning relies on: every
+/// row, element or attribute, has 0 < left < right < INT32_MAX.
+void ExpectIntervalInvariant(const NodeRelation& rel, const char* what) {
+  ASSERT_GT(rel.row_count(), 0u) << what;
+  for (Row r = 0; r < static_cast<Row>(rel.row_count()); ++r) {
+    ASSERT_GT(rel.left(r), 0) << what << " row " << r;
+    ASSERT_LT(rel.left(r), rel.right(r)) << what << " row " << r;
+    ASSERT_LT(rel.right(r), std::numeric_limits<int32_t>::max())
+        << what << " row " << r;
+  }
+}
+
+using IntervalInvariantTest = TreeSliceProbeTest;
+
+TEST_F(IntervalInvariantTest, LeftBelowRightOnEveryRelationSource) {
+  for (LabelScheme scheme : {LabelScheme::kLPath, LabelScheme::kXPath}) {
+    Corpus corpus = RandomCorpus(/*seed=*/311, /*trees=*/30);
+    Result<NodeRelation> built = NodeRelation::Build(corpus, {scheme});
+    ASSERT_TRUE(built.ok()) << built.status();
+    ExpectIntervalInvariant(built.value(), scheme == LabelScheme::kLPath
+                                               ? "built (LPath labels)"
+                                               : "built (XPath labels)");
+  }
+
+  Corpus corpus = RandomCorpus(/*seed=*/312, /*trees=*/30);
+  Result<NodeRelation> built = NodeRelation::Build(corpus);
+  ASSERT_TRUE(built.ok()) << built.status();
+  for (ImageEncoding encoding : {ImageEncoding::kAuto, ImageEncoding::kRaw}) {
+    ImageSaveOptions options;
+    options.encoding = encoding;
+    ASSERT_TRUE(ImageIO::Save(built.value(), path_, options).ok());
+    Result<NodeRelation> opened = ImageIO::Open(path_);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    ExpectIntervalInvariant(opened.value(), encoding == ImageEncoding::kRaw
+                                                ? "raw image"
+                                                : "v2 image");
+  }
+
+  Result<SnapshotPtr> base =
+      CorpusSnapshot::Build(RandomCorpus(/*seed=*/313, /*trees=*/15));
+  ASSERT_TRUE(base.ok()) << base.status();
+  Result<SnapshotPtr> chained =
+      base.value()->Append(RandomCorpus(/*seed=*/314, /*trees=*/12));
+  ASSERT_TRUE(chained.ok()) << chained.status();
+  ASSERT_NE(chained.value()->delta_relation(), nullptr);
+  ExpectIntervalInvariant(*chained.value()->delta_relation(), "chain delta");
+  Result<SnapshotPtr> compacted = chained.value()->Compact();
+  ASSERT_TRUE(compacted.ok()) << compacted.status();
+  ExpectIntervalInvariant(compacted.value()->relation(), "merged base+delta");
 }
 
 TEST(RelationTest, EmptyCorpus) {

@@ -107,7 +107,6 @@ service::CachedPlanPtr MakeBundle(uint64_t fp) {
   auto entry = std::make_shared<service::CachedPlan>();
   entry->fingerprint = fp;
   entry->plan = std::make_shared<sql::PreparedPlan>();
-  entry->memo = std::make_shared<sql::ExistsMemo>();
   return entry;
 }
 
