@@ -43,6 +43,14 @@ std::string WalDirFor(const std::string& wal_dir, const std::string& name) {
   return out;
 }
 
+/// A query routed to a name that is not attached. The context's done hook
+/// hears about it too, so it fires exactly once whatever the outcome.
+Status NotAttached(const std::string& name, const service::QueryContext& ctx) {
+  Status status = Status::NotFound("corpus not attached: " + name);
+  if (ctx.done) ctx.done(status);
+  return status;
+}
+
 }  // namespace
 
 Database::Database(DatabaseOptions options) : options_(std::move(options)) {}
@@ -126,6 +134,7 @@ Status Database::Attach(const std::string& name, SnapshotPtr snapshot) {
         exists = true;
       } else if (options_version_ == seen_version) {
         catalog_.emplace(name, created);
+        attachments_[name] = Attachment{++last_generation_, 0, {}};
         if (wal != nullptr) wal_[name] = wal;
         if (replayed_batches > 0) created->NoteReplay(replayed_batches);
         return Status::OK();
@@ -278,6 +287,7 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
     return status;
   };
   SnapshotPtr appended;
+  uint64_t generation = 0;
   for (;;) {
     SnapshotPtr current = snapshot(name);
     if (current == nullptr) {
@@ -303,6 +313,7 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
         (void)it->second->UpdateSnapshot(appended);
         it->second->NoteIngest();
         if (wal != nullptr) it->second->NoteWalAppend(payload_bytes);
+        generation = attachments_.at(name).generation;
         published = true;
       }
     }
@@ -314,38 +325,47 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
     threshold = options_.compact_delta_trees;
   }
   if (threshold > 0 && appended->delta_tree_count() >= threshold) {
-    ScheduleCompaction(name);
+    ScheduleCompaction(name, generation);
   }
   return Status::OK();
 }
 
 Status Database::Compact(const std::string& name) {
-  return CompactInternal(name);
+  uint64_t generation = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = attachments_.find(name);
+    if (it == attachments_.end()) {
+      return Status::NotFound("corpus not attached: " + name);
+    }
+    generation = it->second.generation;
+  }
+  return CompactInternal(name, generation);
 }
 
-Status Database::CompactInternal(const std::string& name) {
-  const Status status = CompactOnce(name);
+Status Database::CompactInternal(const std::string& name,
+                                 uint64_t generation) {
+  const Status status = CompactOnce(name, generation);
   // Record the outcome for List()/monitoring — from both entry points, so
   // a synchronous Compact() failure is just as visible as a background
   // one. Failures accumulate; a clean compaction clears only the error
   // text (the count keeps witnessing that something went wrong before).
-  // NotFound is not recorded: the corpus was detached and its health
-  // purged — writing here would resurrect the entry and smear it onto a
-  // later attach under the same name.
-  if (!status.IsNotFound()) {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    CompactHealth& health = compact_health_[name];
+  // Only the attachment the compaction ran against is written: once it
+  // is detached its health is gone, and a later attachment under the same
+  // name starts clean.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Attachment* attachment = AttachmentOf(name, generation)) {
     if (status.ok()) {
-      health.last_error.clear();
+      attachment->last_compaction_error.clear();
     } else {
-      health.failures += 1;
-      health.last_error = status.message();
+      attachment->compaction_failures += 1;
+      attachment->last_compaction_error = status.message();
     }
   }
   return status;
 }
 
-Status Database::CompactOnce(const std::string& name) {
+Status Database::CompactOnce(const std::string& name, uint64_t generation) {
   std::shared_ptr<std::mutex> ingest_mu = IngestMutexFor(name);
   if (ingest_mu == nullptr) {
     return Status::NotFound("corpus not attached: " + name);
@@ -357,9 +377,15 @@ Status Database::CompactOnce(const std::string& name) {
   // position: every committed record is ≤ last_lsn() here, so the stamp
   // written into the image is exactly what the merged relation covers.
   std::lock_guard<std::mutex> ingest_lock(*ingest_mu);
-  SnapshotPtr current = snapshot(name);
-  if (current == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
+  SnapshotPtr current;
+  {
+    // The generation check and the snapshot read are one step, so the
+    // chain compacted below belongs to the attachment the task names.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (AttachmentOf(name, generation) == nullptr) {
+      return Status::NotFound("corpus not attached: " + name);
+    }
+    current = catalog_.at(name)->snapshot();
   }
   if (!current->has_delta()) return Status::OK();
   std::shared_ptr<Wal> wal = WalFor(name);
@@ -373,14 +399,18 @@ Status Database::CompactOnce(const std::string& name) {
   std::shared_ptr<const void> retired;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = catalog_.find(name);
-    if (it == catalog_.end()) {
+    Attachment* attachment = AttachmentOf(name, generation);
+    if (attachment == nullptr) {
       return Status::NotFound("corpus not attached: " + name);
     }
+    auto it = catalog_.find(name);
     if (it->second->snapshot() == current) {
       service = it->second;
       retired = it->second->UpdateSnapshot(std::move(compacted));
       it->second->NoteCompaction();
+      // Cleared with the publication, in one critical section: List()
+      // cannot see the delta gone and the last failure still standing.
+      attachment->last_compaction_error.clear();
       published = true;
     }
   }
@@ -400,15 +430,17 @@ Status Database::CompactOnce(const std::string& name) {
   return Status::OK();
 }
 
-void Database::ScheduleCompaction(const std::string& name) {
+void Database::ScheduleCompaction(const std::string& name,
+                                  uint64_t generation) {
   std::lock_guard<std::mutex> lock(compact_mu_);
   if (compact_stop_) return;
-  const bool queued =
-      std::any_of(compact_queue_.begin(), compact_queue_.end(),
-                  [&](const CompactTask& t) { return t.name == name; });
+  const bool queued = std::any_of(
+      compact_queue_.begin(), compact_queue_.end(), [&](const CompactTask& t) {
+        return t.name == name && t.generation == generation;
+      });
   if (!queued) {
     compact_queue_.push_back(
-        CompactTask{name, 0, std::chrono::steady_clock::now()});
+        CompactTask{name, generation, 0, std::chrono::steady_clock::now()});
   }
   if (!compactor_.joinable()) {
     compactor_ = std::thread([this] { CompactorLoop(); });
@@ -437,23 +469,41 @@ void Database::CompactorLoop() {
     CompactTask task = std::move(*next);
     compact_queue_.erase(next);
     lock.unlock();
-    const Status status = CompactInternal(task.name);
+    const Status status = CompactInternal(task.name, task.generation);
     lock.lock();
-    // Transient failures retry with doubling backoff up to the attempt
-    // cap (already counted in compact_health_ by CompactInternal);
-    // NotFound means detached — nothing left to compact.
-    if (!status.ok() && !status.IsNotFound() && !compact_stop_ &&
-        task.attempt + 1 < kMaxCompactAttempts) {
-      const bool queued = std::any_of(
-          compact_queue_.begin(), compact_queue_.end(),
-          [&](const CompactTask& t) { return t.name == task.name; });
-      if (!queued) {
-        compact_queue_.push_back(CompactTask{
-            std::move(task.name), task.attempt + 1,
-            std::chrono::steady_clock::now() + CompactBackoff(task.attempt)});
-      }
+    if (status.ok() || compact_stop_ ||
+        task.attempt + 1 >= kMaxCompactAttempts) {
+      continue;
+    }
+    // Transient failures retry with doubling backoff up to the attempt cap
+    // (already counted in the attachment's health by CompactInternal),
+    // but only while the attachment the task ran against is current.
+    // Checked under compact_mu_, which Detach takes after unlisting the
+    // name, so a purge can never be undone by this re-queue.
+    bool current = false;
+    {
+      std::lock_guard<std::mutex> catalog_lock(mu_);
+      current = AttachmentOf(task.name, task.generation) != nullptr;
+    }
+    const bool queued = std::any_of(
+        compact_queue_.begin(), compact_queue_.end(),
+        [&](const CompactTask& t) {
+          return t.name == task.name && t.generation == task.generation;
+        });
+    if (current && !queued) {
+      compact_queue_.push_back(CompactTask{
+          std::move(task.name), task.generation, task.attempt + 1,
+          std::chrono::steady_clock::now() + CompactBackoff(task.attempt)});
     }
   }
+}
+
+Database::Attachment* Database::AttachmentOf(const std::string& name,
+                                             uint64_t generation) {
+  auto it = attachments_.find(name);
+  return it != attachments_.end() && it->second.generation == generation
+             ? &it->second
+             : nullptr;
 }
 
 std::shared_ptr<std::mutex> Database::IngestMutexFor(const std::string& name) {
@@ -472,6 +522,7 @@ std::shared_ptr<Wal> Database::WalFor(const std::string& name) const {
 
 Status Database::Detach(const std::string& name) {
   std::shared_ptr<service::QueryService> victim;
+  uint64_t generation = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = catalog_.find(name);
@@ -485,18 +536,23 @@ Status Database::Detach(const std::string& name) {
     // and roll its WAL record back through its own shared handle).
     ingest_mu_.erase(name);
     wal_.erase(name);
+    // The attachment's health goes with it; a compaction still running
+    // against it finds its generation gone and records nothing.
+    auto attachment = attachments_.find(name);
+    generation = attachment->second.generation;
+    attachments_.erase(attachment);
   }
   {
-    // Purge the compactor's state for the name: a queued task would only
-    // churn to NotFound (or worse, compact an unrelated corpus attached
-    // later under the same name), and stale health must not smear onto
-    // that successor.
+    // Purge the attachment's queued compactions: they would only churn to
+    // NotFound. Taken after the catalog lock is released (lock order:
+    // compact_mu_ before mu_); a later attachment's tasks stay queued.
     std::lock_guard<std::mutex> lock(compact_mu_);
     compact_queue_.erase(
         std::remove_if(compact_queue_.begin(), compact_queue_.end(),
-                       [&](const CompactTask& t) { return t.name == name; }),
+                       [&](const CompactTask& t) {
+                         return t.name == name && t.generation == generation;
+                       }),
         compact_queue_.end());
-    compact_health_.erase(name);
   }
   // `victim` drops here, outside the lock: if this was the last reference
   // the pool joins now, without stalling the catalog.
@@ -578,28 +634,29 @@ std::vector<CorpusInfo> Database::List() const {
     std::string name;
     std::shared_ptr<service::QueryService> service;
     std::shared_ptr<Wal> wal;
+    SnapshotPtr snapshot;
+    Attachment attachment;
   };
   std::vector<Row> rows;
   {
+    // Snapshot and health are read in one critical section: a compaction
+    // publishes its snapshot and clears its error in one too, so a row
+    // never shows one without the other.
     std::lock_guard<std::mutex> lock(mu_);
     rows.reserve(catalog_.size());
     for (const auto& [name, service] : catalog_) {
       auto wal_it = wal_.find(name);
       rows.push_back(Row{name, service,
-                         wal_it == wal_.end() ? nullptr : wal_it->second});
+                         wal_it == wal_.end() ? nullptr : wal_it->second,
+                         service->snapshot(), attachments_.at(name)});
     }
-  }
-  std::unordered_map<std::string, CompactHealth> health;
-  {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    health = compact_health_;
   }
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.name < b.name; });
   std::vector<CorpusInfo> out;
   out.reserve(rows.size());
   for (const Row& row : rows) {
-    const SnapshotPtr snap = row.service->snapshot();
+    const SnapshotPtr& snap = row.snapshot;
     CorpusInfo info;
     info.name = row.name;
     info.snapshot_id = snap->id();
@@ -620,10 +677,8 @@ std::vector<CorpusInfo> Database::List() const {
       info.wal_last_lsn = wal_stats.last_lsn;
       info.wal_segments = wal_stats.segments;
     }
-    if (auto it = health.find(row.name); it != health.end()) {
-      info.compaction_failures = it->second.failures;
-      info.last_compaction_error = it->second.last_error;
-    }
+    info.compaction_failures = row.attachment.compaction_failures;
+    info.last_compaction_error = row.attachment.last_compaction_error;
     out.push_back(std::move(info));
   }
   return out;
@@ -640,41 +695,19 @@ std::shared_ptr<service::QueryService> Database::service(
 }
 
 Result<QueryResult> Database::Query(const std::string& name,
-                                    const std::string& query) {
+                                    const std::string& query,
+                                    const service::QueryContext& ctx) {
   std::shared_ptr<service::QueryService> service = Resolve(name);
-  if (service == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
-  }
-  return service->Query(query);
-}
-
-Result<service::PendingQuery> Database::Submit(const std::string& name,
-                                               const std::string& query) {
-  std::shared_ptr<service::QueryService> service = Resolve(name);
-  if (service == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
-  }
-  return service->Submit(query);
+  if (service == nullptr) return NotAttached(name, ctx);
+  return service->Query(query, ctx);
 }
 
 Result<service::PendingQuery> Database::Submit(const std::string& name,
                                                const std::string& query,
-                                               service::RowSink sink,
-                                               service::SubmitOptions opts) {
+                                               service::QueryContext ctx) {
   std::shared_ptr<service::QueryService> service = Resolve(name);
-  if (service == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
-  }
-  return service->Submit(query, std::move(sink), std::move(opts));
-}
-
-Status Database::QueryStream(const std::string& name, const std::string& query,
-                             const service::RowSink& sink) {
-  std::shared_ptr<service::QueryService> service = Resolve(name);
-  if (service == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
-  }
-  return service->QueryStream(query, sink);
+  if (service == nullptr) return NotAttached(name, ctx);
+  return service->Submit(query, std::move(ctx));
 }
 
 std::shared_ptr<service::QueryService> Database::Resolve(

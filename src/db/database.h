@@ -187,25 +187,20 @@ class Database {
 
   // --- Routed query entry points -------------------------------------------
 
-  /// Evaluates `query` against corpus `name`, synchronously.
-  Result<QueryResult> Query(const std::string& name, const std::string& query);
+  /// Evaluates `query` against corpus `name`, synchronously, with `ctx`'s
+  /// hooks (see service::QueryContext). `ctx.done` fires exactly once,
+  /// also when the name does not route (with that NotFound).
+  Result<QueryResult> Query(const std::string& name, const std::string& query,
+                            const service::QueryContext& ctx = {});
 
-  /// Submits `query` against corpus `name` for asynchronous evaluation.
-  Result<service::PendingQuery> Submit(const std::string& name,
-                                       const std::string& query);
-
-  /// The network front end's entry point (src/net/): streams batches to
-  /// `sink` and honors the cancellation/completion hooks in `opts`. The
-  /// returned handle, the sink and the hooks all stay valid across a
-  /// concurrent Swap/Detach (the query pins its service and session).
+  /// Submits `query` against corpus `name` for asynchronous evaluation —
+  /// also the network front end's entry point (src/net/). The returned
+  /// handle and the context's hooks stay valid across a concurrent
+  /// Swap/Detach (the query pins its service and session). `ctx.done`
+  /// fires exactly once, also when the name does not route.
   Result<service::PendingQuery> Submit(const std::string& name,
                                        const std::string& query,
-                                       service::RowSink sink,
-                                       service::SubmitOptions opts);
-
-  /// Streams `query`'s result rows against corpus `name` (see RowSink).
-  Status QueryStream(const std::string& name, const std::string& query,
-                     const service::RowSink& sink);
+                                       service::QueryContext ctx = {});
 
  private:
   std::shared_ptr<service::QueryService> Resolve(const std::string& name) const;
@@ -216,18 +211,21 @@ class Database {
   std::shared_ptr<std::mutex> IngestMutexFor(const std::string& name);
   /// The corpus's live WAL handle, or null (not attached / no wal_dir).
   std::shared_ptr<Wal> WalFor(const std::string& name) const;
-  /// Compact's body; also the background compactor's per-item work. Every
-  /// outcome (either entry point) is recorded in the health map.
-  Status CompactInternal(const std::string& name);
-  Status CompactOnce(const std::string& name);
-  /// Enqueues `name` for the background compactor (deduplicated), lazily
-  /// starting the compactor thread on first use.
-  void ScheduleCompaction(const std::string& name);
+  /// Compact's body for attachment `generation` of `name`; also the
+  /// background compactor's per-item work. Every outcome (either entry
+  /// point) is recorded in that attachment's health, and nowhere else.
+  Status CompactInternal(const std::string& name, uint64_t generation);
+  /// NotFound once `generation` is no longer `name`'s attachment.
+  Status CompactOnce(const std::string& name, uint64_t generation);
+  /// Enqueues `name`'s attachment `generation` for the background
+  /// compactor (deduplicated), lazily starting the compactor thread on
+  /// first use.
+  void ScheduleCompaction(const std::string& name, uint64_t generation);
   void CompactorLoop();
 
-  // Guards catalog_, options_ and options_version_, and serializes
-  // snapshot publication with catalog replacement; never held across
-  // queries or pool lifetimes.
+  // Guards catalog_, attachments_, options_ and options_version_, and
+  // serializes snapshot publication with catalog replacement; never held
+  // across queries or pool lifetimes. Lock order: compact_mu_ before mu_.
   mutable std::mutex mu_;
   DatabaseOptions options_;
   /// Bumped by SetServiceOptions; Attach re-checks it before inserting a
@@ -244,28 +242,47 @@ class Database {
   /// so an in-flight Ingest keeps its handle across a concurrent Detach.
   std::unordered_map<std::string, std::shared_ptr<Wal>> wal_;
 
+  /// One attach of a name, from Attach to Detach. The generation tells
+  /// attachments of one name apart (services do not: SetServiceOptions
+  /// replaces them), so a compaction that outlives a Detach can neither
+  /// write its outcome onto, nor re-queue itself for, a later attachment
+  /// under the same name.
+  struct Attachment {
+    uint64_t generation = 0;
+    /// Compaction health: failures are counted rather than dropped on the
+    /// floor; the compactor retries with capped backoff, and a later
+    /// Ingest reschedules regardless.
+    uint64_t compaction_failures = 0;
+    /// Cleared by a clean compaction, in the critical section that
+    /// publishes its snapshot: List() never sees the delta gone while an
+    /// earlier attempt's error still stands.
+    std::string last_compaction_error;
+  };
+  /// One entry per catalog_ entry, guarded by mu_.
+  std::unordered_map<std::string, Attachment> attachments_;
+  uint64_t last_generation_ = 0;
+  /// `name`'s attachment if `generation` is still current, else null.
+  /// Requires mu_.
+  Attachment* AttachmentOf(const std::string& name, uint64_t generation);
+
   /// One unit of background-compaction work. A failed attempt is re-queued
-  /// with doubling backoff up to kMaxCompactAttempts (except NotFound —
-  /// the corpus was detached); after that the delta simply stays live, the
-  /// failure stays visible in compact_health_, and a later Ingest
-  /// reschedules from attempt zero.
+  /// with doubling backoff up to kMaxCompactAttempts, while its attachment
+  /// is still current; after that the delta simply stays live, the
+  /// failure stays visible in List(), and a later Ingest reschedules from
+  /// attempt zero.
   struct CompactTask {
     std::string name;
+    uint64_t generation = 0;
     int attempt = 0;
     std::chrono::steady_clock::time_point ready;
-  };
-  struct CompactHealth {
-    uint64_t failures = 0;
-    std::string last_error;  ///< cleared by the next clean compaction
   };
 
   /// Background compactor: one lazily-started thread draining a
   /// deduplicated queue of compaction tasks; synchronous Compact() is the
-  /// caller-facing error path, compact_health_ the monitoring one.
+  /// caller-facing error path, List() the monitoring one.
   mutable std::mutex compact_mu_;
   std::condition_variable compact_cv_;
   std::deque<CompactTask> compact_queue_;
-  std::unordered_map<std::string, CompactHealth> compact_health_;
   bool compact_stop_ = false;
   std::thread compactor_;
 };

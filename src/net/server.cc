@@ -589,8 +589,9 @@ void NetServer::StartExecute(const std::shared_ptr<Conn>& conn,
   size_t batch_rows = options_.batch_rows;
   size_t bound = std::max<size_t>(options_.stream_queue_frames, 1);
 
-  service::RowSink sink = [conn, wakeup, req, request_id, batch_rows,
-                           bound](std::span<const Hit> hits) {
+  service::QueryContext ctx;
+  ctx.sink = [conn, wakeup, req, request_id, batch_rows,
+              bound](std::span<const Hit> hits) {
     for (size_t off = 0; off < hits.size(); off += batch_rows) {
       std::span<const Hit> chunk =
           hits.subspan(off, std::min(batch_rows, hits.size() - off));
@@ -605,12 +606,10 @@ void NetServer::StartExecute(const std::shared_ptr<Conn>& conn,
       wakeup->Notify();
     }
   };
-
-  service::SubmitOptions opts;
-  opts.cancel = std::shared_ptr<const std::atomic<bool>>(req, &req->cancelled);
+  ctx.cancel = std::shared_ptr<const std::atomic<bool>>(req, &req->cancelled);
   // NOTE: captures only shared state — never `this`; the server may be
   // gone (post-Stop) by the time a straggling query resolves.
-  opts.done = [conn, wakeup, req, request_id](const Status& status) {
+  ctx.done = [conn, wakeup, req, request_id](const Status& status) {
     uint64_t rows = req->rows.load(std::memory_order_relaxed);
     EndPayload end;
     end.code = WireCodeFromStatus(status);
@@ -630,17 +629,9 @@ void NetServer::StartExecute(const std::shared_ptr<Conn>& conn,
     wakeup->Notify();
   };
 
-  Result<service::PendingQuery> submitted =
-      db_->Submit(query.corpus, query.query, std::move(sink), std::move(opts));
-  if (!submitted.ok()) {
-    // Submission itself failed (e.g. unknown corpus): the done hook never
-    // fires, so terminate the request here.
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->inflight.erase(request_id);
-    }
-    SendEnd(conn, request_id, submitted.status(), 0);
-  }
+  // Every outcome, a corpus name that does not route included, ends
+  // through ctx.done, which sends the request's one STREAM_END.
+  (void)db_->Submit(query.corpus, query.query, std::move(ctx));
 }
 
 bool NetServer::FlushWrites(const std::shared_ptr<Conn>& conn) {

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <unordered_set>
+#include <limits>
 #include <utility>
 
 #include "common/timer.h"
 #include "lpath/parser.h"
 #include "plan/compile.h"
-#include "plan/sql_gen.h"
 #include "sql/fingerprint.h"
-#include "sql/parser.h"
 
 namespace lpath {
 namespace service {
@@ -30,17 +28,15 @@ double Percentile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-uint64_t HitKey(const Hit& h) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(h.tid)) << 32) |
-         static_cast<uint32_t>(h.id);
-}
-
-/// Rebases a source's hits into the chain tid space. Must happen before any
-/// cross-source merge or DISTINCT stage: delta tree 0 and base tree 0 are
-/// different trees, and an unshifted HitKey would alias them.
+/// Rebases a source's hits into the chain tid space. Must happen before
+/// delivery or merge: delta tree 0 and base tree 0 are different trees.
 void ShiftTids(std::vector<Hit>& hits, int32_t offset) {
   if (offset == 0) return;
   for (Hit& h : hits) h.tid += offset;
+}
+
+bool Cancelled(const QueryContext& ctx) {
+  return ctx.cancel != nullptr && ctx.cancel->load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -105,12 +101,7 @@ Result<ExecPlan> QueryService::CompileQuery(const Session& session,
   CompileOptions copts;
   copts.scheme = relation.scheme();
   copts.unnest_predicates = options_.unnest_predicates;
-  LPATH_ASSIGN_OR_RETURN(ExecPlan plan, CompileLPath(path, copts));
-  if (options_.via_sql_text) {
-    const std::string sql_text = GenerateSql(plan);
-    LPATH_ASSIGN_OR_RETURN(plan, sql::ParseSql(sql_text));
-  }
-  return plan;
+  return CompileLPath(path, copts);
 }
 
 Result<CachedPlan> QueryService::PrepareCompiled(const Session& session,
@@ -207,60 +198,16 @@ int QueryService::CollectSources(const Session& session,
   return n;
 }
 
-Result<QueryResult> QueryService::RunSerial(const Session& session,
-                                            const CachedPlan& planned,
-                                            const RowSink* sink,
-                                            const std::atomic<bool>* cancel) {
+Result<QueryResult> QueryService::Run(const Session& session,
+                                      const CachedPlan& planned,
+                                      const QueryContext& ctx,
+                                      int max_workers) {
   SourceRun sources[2];
   const int nsources = CollectSources(session, planned, sources);
-  QueryResult merged;
-  sql::ExecStats total;
-  Status failure = Status::OK();
-  for (int s = 0; s < nsources; ++s) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      failure = Status::Cancelled("query cancelled");
-      break;
-    }
-    const SourceRun& src = sources[s];
-    sql::ExecStats stats;
-    Result<QueryResult> r = src.executor->ExecutePrepared(*src.plan, &stats);
-    if (src.tid_offset != 0) stats.delta_rows = stats.candidates;
-    total.Add(stats);
-    if (!r.ok()) {
-      failure = r.status();
-      break;
-    }
-    ShiftTids(r->hits, src.tid_offset);
-    merged.hits.insert(merged.hits.end(), r->hits.begin(), r->hits.end());
-  }
-  total.morsels += 1;
-  total.sources = static_cast<uint64_t>(nsources);
-  RecordExec(total, /*sharded=*/false);
-  if (!failure.ok()) return failure;
-  // Sources cover disjoint tid ranges and each result is sorted, so the
-  // concatenation is already DISTINCT and sorted; Normalize only verifies
-  // that in one linear pass.
-  merged.Normalize();
-  if (sink != nullptr && !merged.hits.empty()) {
-    (*sink)(std::span<const Hit>(merged.hits));
-  }
-  return merged;
-}
-
-Result<QueryResult> QueryService::RunSharded(const Session& session,
-                                             CachedPlanPtr planned,
-                                             const RowSink* sink,
-                                             const std::atomic<bool>* cancel) {
-  SourceRun sources[2];
-  const int nsources = CollectSources(session, *planned, sources);
-  int workers = options_.shards_per_query > 0
-                    ? std::min(options_.shards_per_query, pool_->size())
-                    : pool_->size();
-  workers = std::max(1, workers);
   // Adaptive fan-out: when the optimizer expects the root variable to
   // enumerate only a handful of rows, the per-morsel setup (task posts,
-  // binary-searched run cuts, result merge) costs more than it parallelizes.
-  // On a chain the estimate is the sum over live (non-always-empty) sources.
+  // binary-searched run cuts) costs more than it parallelizes. On a chain
+  // the estimate is the sum over live (non-always-empty) sources.
   uint64_t root_estimate = 0;
   bool any_live = false;
   for (int s = 0; s < nsources; ++s) {
@@ -268,12 +215,10 @@ Result<QueryResult> QueryService::RunSharded(const Session& session,
     any_live = true;
     root_estimate += sources[s].plan->root_cardinality;
   }
-  bool serial = !any_live || workers <= 1;
-  if (!serial && options_.adaptive_serial_rows > 0 &&
-      root_estimate < options_.adaptive_serial_rows) {
-    serial = true;
-  }
-  // Morsel planning: ~morsels_per_thread row-balanced tid slices per
+  bool serial = !any_live || max_workers <= 1 ||
+                (options_.adaptive_serial_rows > 0 &&
+                 root_estimate < options_.adaptive_serial_rows);
+  // Morsel planning: ~kMorselsPerThread row-balanced tid slices per
   // worker, pulled from a shared claim cursor below. Over-decomposition is
   // the skew defence — a giant tree occupies one worker for one morsel
   // while the others drain the rest — and the minimum morsel size keeps
@@ -288,10 +233,9 @@ Result<QueryResult> QueryService::RunSharded(const Session& session,
   std::vector<Morsel> morsels;
   if (!serial) {
     const uint64_t min_rows = std::max<uint64_t>(
-        1, options_.adaptive_serial_rows /
-               static_cast<uint64_t>(std::max(1, options_.morsels_per_thread)));
-    const uint64_t budget = static_cast<uint64_t>(
-        workers * std::max(1, options_.morsels_per_thread));
+        1, options_.adaptive_serial_rows / kMorselsPerThread);
+    const uint64_t budget =
+        static_cast<uint64_t>(max_workers) * kMorselsPerThread;
     uint64_t total_rows = 0;
     for (int s = 0; s < nsources; ++s) {
       if (!sources[s].plan->always_empty) {
@@ -313,77 +257,67 @@ Result<QueryResult> QueryService::RunSharded(const Session& session,
     if (morsels.size() <= 1) serial = true;
   }
   if (serial) {
-    return RunSerial(session, *planned, sink, cancel);
+    // The one-worker case: a whole-range morsel per source (an
+    // always-empty one returns at once), and the unclamped tid range keeps
+    // the executor on its unsharded fast paths.
+    TidRange whole;
+    whole.tid_hi = std::numeric_limits<int32_t>::max();
+    morsels.clear();
+    for (int s = 0; s < nsources; ++s) morsels.push_back(Morsel{s, whole});
   }
-
-  // Merge stage for streaming: per-morsel results are deduplicated against
-  // everything already delivered, so sink batches are disjoint and their
-  // union equals the DISTINCT result. The mutex also serializes sink calls.
-  struct StreamMerge {
-    std::mutex mu;
-    std::unordered_set<uint64_t> seen;
-  };
-  auto merge = sink != nullptr ? std::make_shared<StreamMerge>() : nullptr;
 
   const int count = static_cast<int>(morsels.size());
   std::vector<Result<QueryResult>> results(count,
                                            Result<QueryResult>(QueryResult{}));
   std::vector<sql::ExecStats> stats(count);
   std::atomic<uint64_t> steals{0};
-  // The item lambda owns the cache entry (the shared_ptr is copied into
-  // RunOnPool's shared state), keeping its plans alive
-  // for helpers scheduled after the query completes. The locals
-  // (`sources`, `morsels`, `results`, ...) are captured by reference: a
-  // late helper never claims an item, so it never dereferences them after
-  // this frame returns.
-  RunOnPool(count, workers,
-            [planned, &sources, &morsels, &results, &stats, &steals, sink,
-             merge, cancel](int i, int worker) {
+  std::mutex sink_mu;  // serializes sink calls
+  // Locals are captured by reference: a helper scheduled after this frame
+  // returns never claims an item, so it never dereferences them.
+  RunOnPool(count, serial ? 1 : max_workers, [&](int i, int worker) {
     // A cancelled query skips its remaining morsels (their result slots
     // keep the empty default); the terminal status is derived below.
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
+    if (Cancelled(ctx)) return;
     const Morsel& m = morsels[i];
     const SourceRun& src = sources[m.source];
-    results[i] = src.executor->ExecuteShard(*src.plan, m.range.tid_lo,
-                                            m.range.tid_hi, &stats[i]);
-    if (src.tid_offset != 0) {
-      stats[i].delta_rows = stats[i].candidates;
-      // Rebase into chain tid space before the DISTINCT stages (both the
-      // streaming merge below and the final Normalize) see the hits.
-      if (results[i].ok()) ShiftTids(results[i]->hits, src.tid_offset);
-    }
+    Result<QueryResult>& r = results[i];
+    r = src.executor->ExecuteShard(*src.plan, m.range.tid_lo, m.range.tid_hi,
+                                   &stats[i]);
+    if (src.tid_offset != 0) stats[i].delta_rows = stats[i].candidates;
     if (worker > 0) steals.fetch_add(1, std::memory_order_relaxed);
-    if (sink != nullptr && results[i].ok()) {
-      std::vector<Hit> fresh;
-      std::lock_guard<std::mutex> lock(merge->mu);
-      for (const Hit& h : results[i]->hits) {
-        if (merge->seen.insert(HitKey(h)).second) fresh.push_back(h);
-      }
-      if (!fresh.empty()) {
-        std::sort(fresh.begin(), fresh.end());
-        (*sink)(std::span<const Hit>(fresh));
-      }
+    if (!r.ok() || r->hits.empty()) return;
+    ShiftTids(r->hits, src.tid_offset);
+    // Every variable is tid-linked to the root variable the morsel clamps,
+    // so the morsel's sorted, distinct hits lie inside its own shifted tid
+    // range: morsels are disjoint and need no cross-morsel DISTINCT. This
+    // O(1) check guards that invariant (and the source's tid shift).
+    const int64_t lo = int64_t{m.range.tid_lo} + src.tid_offset;
+    const int64_t hi = int64_t{m.range.tid_hi} + src.tid_offset;
+    if (r->hits.front().tid < lo || r->hits.back().tid >= hi) {
+      r = Status::Internal("morsel hits lie outside the morsel's tid range");
+      return;
+    }
+    if (ctx.sink) {
+      std::lock_guard<std::mutex> lock(sink_mu);
+      ctx.sink(std::span<const Hit>(r->hits));
     }
   });
 
   sql::ExecStats total;
-  for (int i = 0; i < count; ++i) total.Add(stats[i]);
-  total.morsels += static_cast<uint64_t>(count);
+  for (const sql::ExecStats& s : stats) total.Add(s);
+  total.morsels += serial ? 1 : static_cast<uint64_t>(count);
   total.steal_count += steals.load(std::memory_order_relaxed);
   total.sources = static_cast<uint64_t>(nsources);
-  RecordExec(total, /*sharded=*/true);
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-    return Status::Cancelled("query cancelled");
-  }
+  RecordExec(total, /*sharded=*/!serial);
+  if (Cancelled(ctx)) return Status::Cancelled("query cancelled");
   QueryResult merged;
-  for (int i = 0; i < count; ++i) {
-    if (!results[i].ok()) return results[i].status();
-    merged.hits.insert(merged.hits.end(), results[i]->hits.begin(),
-                       results[i]->hits.end());
+  for (const Result<QueryResult>& r : results) {
+    if (!r.ok()) return r.status();
+    merged.hits.insert(merged.hits.end(), r->hits.begin(), r->hits.end());
   }
-  // Distinct bindings in different morsels can project to the same output
-  // node; Normalize dedups the concatenation (which needs no sort when the
-  // morsels' hits stay inside their own tid ranges).
+  // Morsels run in tid order and hold disjoint tid ranges, so the
+  // concatenation is already sorted and distinct; Normalize only verifies
+  // that in one linear pass.
   merged.Normalize();
   return merged;
 }
@@ -401,6 +335,12 @@ void QueryService::RunOnPool(int items, int max_workers,
     std::condition_variable done_cv;
     int done = 0;
   };
+  const int helpers =
+      std::min({pool_->size(), items, std::max(1, max_workers)}) - 1;
+  if (helpers <= 0) {
+    for (int i = 0; i < items; ++i) fn(i, /*worker=*/0);
+    return;
+  }
   auto state = std::make_shared<State>();
   state->fn = std::move(fn);
   state->items = items;
@@ -416,10 +356,8 @@ void QueryService::RunOnPool(int items, int max_workers,
       if (++state->done == state->items) state->done_cv.notify_all();
     }
   };
-  const int helpers =
-      std::min({pool_->size(), items, std::max(1, max_workers)}) - 1;
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<size_t>(std::max(0, helpers)));
+  tasks.reserve(static_cast<size_t>(helpers));
   for (int w = 1; w <= helpers; ++w) {
     tasks.push_back([drain, w] { drain(w); });
   }
@@ -427,23 +365,6 @@ void QueryService::RunOnPool(int items, int max_workers,
   drain(0);  // the caller works too, so a busy pool cannot stall the call
   std::unique_lock<std::mutex> lock(state->mu);
   state->done_cv.wait(lock, [&state] { return state->done == state->items; });
-}
-
-Result<QueryResult> QueryService::QueryOnce(const std::string& query,
-                                            bool sharded, const RowSink* sink,
-                                            const std::atomic<bool>* cancel) {
-  Timer timer;
-  // One consistent session per query: plan lookup and execution see the
-  // same snapshot even if a swap lands mid-query.
-  SessionPtr session = CurrentSession();
-  Result<QueryResult> r = [&]() -> Result<QueryResult> {
-    LPATH_ASSIGN_OR_RETURN(CachedPlanPtr planned, GetPlanIn(*session, query));
-    if (sharded) return RunSharded(*session, std::move(planned), sink, cancel);
-    return RunSerial(*session, *planned, sink, cancel);
-  }();
-  RecordQueries(timer.ElapsedSeconds(), !r.ok(), /*count=*/1,
-                /*coalesced=*/0);
-  return r;
 }
 
 void QueryService::RecordQueries(double seconds, bool error, int count,
@@ -464,39 +385,32 @@ void QueryService::RecordQueries(double seconds, bool error, int count,
   }
 }
 
-Result<QueryResult> QueryService::Query(const std::string& query) {
-  return QueryOnce(query, /*sharded=*/true, /*sink=*/nullptr,
-                   /*cancel=*/nullptr);
+Result<QueryResult> QueryService::Query(const std::string& query,
+                                        const QueryContext& ctx) {
+  Timer timer;
+  // One consistent session per query: plan lookup and execution see the
+  // same snapshot even if a swap lands mid-query.
+  SessionPtr session = CurrentSession();
+  Result<QueryResult> r = [&]() -> Result<QueryResult> {
+    LPATH_ASSIGN_OR_RETURN(CachedPlanPtr planned, GetPlanIn(*session, query));
+    const int workers = options_.shards_per_query > 0
+                            ? std::min(options_.shards_per_query, pool_->size())
+                            : pool_->size();
+    return Run(*session, *planned, ctx, workers);
+  }();
+  RecordQueries(timer.ElapsedSeconds(), !r.ok(), /*count=*/1,
+                /*coalesced=*/0);
+  if (ctx.done) ctx.done(r.status());
+  return r;
 }
 
-Status QueryService::QueryStream(const std::string& query,
-                                 const RowSink& sink) {
-  return QueryOnce(query, /*sharded=*/true, &sink, /*cancel=*/nullptr)
-      .status();
-}
-
-PendingQuery QueryService::Submit(const std::string& query) {
-  return Submit(query, RowSink{});
-}
-
-PendingQuery QueryService::Submit(const std::string& query, RowSink sink) {
-  return Submit(query, std::move(sink), SubmitOptions{});
-}
-
-PendingQuery QueryService::Submit(const std::string& query, RowSink sink,
-                                  SubmitOptions opts) {
-  // The task owns query + sink + hooks; the packaged_task's shared state
-  // feeds the caller's handle. Queued tasks are drained by the pool
-  // destructor, so a handle outliving the service still resolves (and its
-  // `done` hook still fires, exactly once).
+PendingQuery QueryService::Submit(const std::string& query, QueryContext ctx) {
+  // The task owns query + context; the packaged_task's shared state feeds
+  // the caller's handle. Queued tasks are drained by the pool destructor,
+  // so a handle outliving the service still resolves (and its `done` hook
+  // still fires, exactly once).
   auto task = std::make_shared<std::packaged_task<Result<QueryResult>()>>(
-      [this, query, sink = std::move(sink), opts = std::move(opts)]() {
-        Result<QueryResult> r =
-            QueryOnce(query, /*sharded=*/true, sink ? &sink : nullptr,
-                      opts.cancel ? opts.cancel.get() : nullptr);
-        if (opts.done) opts.done(r.status());
-        return r;
-      });
+      [this, query, ctx = std::move(ctx)] { return Query(query, ctx); });
   PendingQuery handle(task->get_future().share());
   pool_->Post([task] { (*task)(); });
   return handle;
@@ -628,14 +542,14 @@ std::vector<Result<QueryResult>> QueryService::QueryBatch(
   }
 
   // Stage 4: workers claim whole groups; each group executes its plan
-  // once, serially (so concurrent groups do not contend over intra-query
-  // morsels), and the result fans out to every member.
+  // once on one worker (so concurrent groups do not contend over
+  // intra-query morsels), and the result fans out to every member.
   RunOnPool(static_cast<int>(groups.size()), pool_->size(),
             [this, &session, &groups, &results](int g, int /*worker*/) {
     ExecGroup& group = groups[g];
     Timer timer;
-    Result<QueryResult> r = RunSerial(*session, *group.planned,
-                                      /*sink=*/nullptr, /*cancel=*/nullptr);
+    Result<QueryResult> r =
+        Run(*session, *group.planned, QueryContext{}, /*max_workers=*/1);
     for (int member : group.members) results[member] = r;
     RecordQueries(timer.ElapsedSeconds(), !r.ok(),
                   static_cast<int>(group.members.size()),

@@ -17,31 +17,34 @@
 //     bundle, and *negative* entries cache the error of a malformed query
 //     instead of re-deriving it per submission;
 //   - a fixed thread pool running morsel-driven parallel execution: the
-//     scheduler carves the tree-id space into ~morsels_per_thread×workers
+//     scheduler carves the tree-id space into ~kMorselsPerThread×workers
 //     row-balanced morsels (storage::NodeRelation::CarveTidRanges over the
 //     per-tree row prefix sums, so a giant tree cannot serialize the whole
 //     query the way an even-by-tid split does on skewed corpora), workers
 //     pull morsels from a shared atomic claim cursor (work stealing for
 //     free — a worker stuck on a long morsel simply stops claiming while
 //     the others drain the rest), and sql::PlanExecutor::ExecuteShard is
-//     the per-morsel kernel whose DISTINCT (tid,id) sets are merged.
-//     Fan-out is adaptive: a query whose root-variable cardinality
-//     estimate is tiny runs serially instead. The decisions are visible
-//     as ExecStats::shards / ::morsels / ::steal_count;
+//     the per-morsel kernel. Serial execution is the one-worker case of the
+//     same path: one whole-range morsel per source, drained on the calling
+//     thread. Fan-out is adaptive: a query whose root-variable cardinality
+//     estimate is tiny runs serially. The decisions are visible as
+//     ExecStats::shards / ::morsels / ::steal_count;
 //   - aggregated executor work counters and a latency reservoir with
 //     percentile summaries.
 //
-// Entry points, all safe to call concurrently from many threads:
-//   Query()       synchronous; a thin wrapper over the streaming path.
-//   QueryStream() rows delivered to a callback per shard as shards finish,
-//                 DISTINCT enforced by a merge stage.
+// Entry points, all safe to call concurrently from many threads. Per-query
+// hooks (row sink, cancel flag, completion callback) travel in one
+// QueryContext:
+//   Query()       synchronous; streams rows to ctx.sink morsel by morsel
+//                 when one is set.
 //   Submit()      asynchronous; returns a future-like PendingQuery handle
-//                 (optionally also streaming to a callback).
+//                 and evaluates Query() on the pool.
 //   QueryBatch()  spreads a batch of queries over the pool workers — the
 //                 throughput path a front end with its own queue would use.
 //                 Members that resolve to the same cached plan (same
 //                 structure, any spelling) coalesce into one execution
 //                 whose result fans out to all of them.
+//   GetPlan()     warmup and plan introspection.
 
 #ifndef LPATHDB_SERVICE_QUERY_SERVICE_H_
 #define LPATHDB_SERVICE_QUERY_SERVICE_H_
@@ -66,29 +69,26 @@
 namespace lpath {
 namespace service {
 
+/// Morsels carved per worker. Over-decomposition is what makes the shared
+/// claim cursor balance skew: with ~4 morsels per worker, a worker that
+/// lands on a giant tree holds one morsel while the others pull the
+/// remaining 4w-1.
+constexpr int kMorselsPerThread = 4;
+
 struct QueryServiceOptions {
   /// Worker threads; also the default parallelism of one query.
   int threads = 4;
   /// Workers a single Query() fans out over; 0 means one per thread.
   int shards_per_query = 0;
-  /// Morsels carved per worker. Over-decomposition is what makes the
-  /// shared claim cursor balance skew: with ~4 morsels per worker, a
-  /// worker that lands on a giant tree holds one morsel while the others
-  /// pull the remaining 4w-1. 1 degenerates to static even-row shards.
-  int morsels_per_thread = 4;
   /// Prepared plans kept by each session's LRU cache.
   size_t plan_cache_capacity = 256;
   sql::ExecOptions exec;
   /// Unnest positive predicates into the main join (see plan/compile.h).
   bool unnest_predicates = true;
-  /// Compile through the SQL text round trip (the paper's full loop) when
-  /// preparing a plan. The plans are identical either way (tested); the
-  /// round trip costs a parse per cache miss.
-  bool via_sql_text = false;
   /// Adaptive sharding: a query whose root-variable cardinality estimate
   /// falls below this many rows runs serially — fanning a tiny query out
   /// costs more than it saves. Also sizes the smallest morsel the planner
-  /// will carve (adaptive_serial_rows / morsels_per_thread rows). 0
+  /// will carve (adaptive_serial_rows / kMorselsPerThread rows). 0
   /// disables both heuristics (always fan out when the pool allows, carve
   /// down to single-tree morsels).
   size_t adaptive_serial_rows = 4096;
@@ -124,23 +124,29 @@ struct ServiceStats {
   double total_seconds = 0.0;  ///< summed per-query wall time
 };
 
-/// Batches of newly-distinct result rows, delivered as shards complete.
+/// Batches of result rows, delivered morsel by morsel as morsels complete.
 /// Each batch is internally sorted; batches are disjoint and their union is
 /// the query's DISTINCT result. Invocations are serialized (never
 /// concurrent), but may come from pool threads.
 using RowSink = std::function<void(std::span<const Hit>)>;
 
-/// Streaming-submission hooks for a front end with its own transport (see
-/// src/net/): best-effort cancellation plus a completion callback.
-struct SubmitOptions {
-  /// Checked at source/morsel boundaries while the query executes: once it
-  /// reads true, remaining work is skipped and the query resolves to
+/// The per-query hooks of every entry point, in one bundle. A
+/// default-constructed context streams nothing, cannot be cancelled and
+/// reports to no one.
+struct QueryContext {
+  /// Receives the result rows as morsels finish (see RowSink). Rows may
+  /// have been delivered even when the final status is an error (a late
+  /// morsel can fail after earlier ones streamed). Empty: no streaming.
+  RowSink sink;
+  /// Checked at morsel boundaries while the query executes: once it reads
+  /// true, remaining morsels are skipped and the query resolves to
   /// Status::Cancelled. Rows already streamed stay streamed — cancellation
   /// truncates a stream, it does not roll it back. Null disables the check.
   std::shared_ptr<const std::atomic<bool>> cancel;
-  /// Invoked exactly once, on the evaluating pool thread, after the final
-  /// sink delivery (or the failure) — the wire protocol's STREAM_END
-  /// trigger. The PendingQuery handle resolves after it returns.
+  /// Invoked exactly once with the terminal status, after the final sink
+  /// delivery (or the failure) — the wire protocol's STREAM_END trigger.
+  /// It runs on the evaluating thread: before Query() returns, and before
+  /// a Submit() handle resolves.
   std::function<void(const Status&)> done;
 };
 
@@ -187,25 +193,13 @@ class QueryService {
   SnapshotPtr snapshot() const;
 
   /// Evaluates one LPath query, fanning its execution out across the pool
-  /// (unless the adaptive heuristic picks serial).
-  Result<QueryResult> Query(const std::string& query);
+  /// (unless the adaptive heuristic picks serial), with `ctx`'s hooks.
+  Result<QueryResult> Query(const std::string& query,
+                            const QueryContext& ctx = {});
 
-  /// Evaluates one query, streaming result rows to `sink` per shard as
-  /// shards complete (see RowSink for the delivery contract). Rows may
-  /// have been delivered even when the final status is an error (a late
-  /// shard can fail after earlier ones streamed).
-  Status QueryStream(const std::string& query, const RowSink& sink);
-
-  /// Submits a query for asynchronous evaluation on the pool. The second
-  /// form also streams rows to `sink` as shards complete; the handle
-  /// resolves after the final batch was delivered.
-  PendingQuery Submit(const std::string& query);
-  PendingQuery Submit(const std::string& query, RowSink sink);
-  /// The front-end form: `sink` streams batches, `opts.cancel` aborts the
-  /// execution at the next morsel/source boundary, `opts.done` fires after
-  /// the final delivery with the query's terminal status.
-  PendingQuery Submit(const std::string& query, RowSink sink,
-                      SubmitOptions opts);
+  /// Submits Query(query, ctx) for asynchronous evaluation on the pool. The
+  /// handle resolves after `ctx.done` returned.
+  PendingQuery Submit(const std::string& query, QueryContext ctx = {});
 
   /// Evaluates a batch of LPath queries, spreading them over the pool
   /// workers; results are positionally aligned with `queries`. Each
@@ -265,8 +259,7 @@ class QueryService {
   /// One executable (source, plan) pair of a query: the base
   /// relation, plus the delta relation when the session's snapshot is a
   /// chain. Hits from a source are shifted by `tid_offset` into the chain
-  /// tid space before any merge, so DISTINCT keys never collide across
-  /// sources.
+  /// tid space before delivery, so no two sources share a tid.
   struct SourceRun;
 
   /// Plan lookup returning the shared cache entry (one plan per source);
@@ -288,7 +281,7 @@ class QueryService {
   Result<CachedPlanPtr> PreparePlan(const Session& session,
                                     const std::string& key,
                                     uint64_t fingerprint, ExecPlan compiled);
-  /// Parse + compile (+ optional SQL text round trip) of normalized text.
+  /// Parse + compile of normalized text.
   Result<ExecPlan> CompileQuery(const Session& session,
                                 const std::string& normalized);
   /// sql::Prepare per source.
@@ -298,19 +291,15 @@ class QueryService {
   /// the count (1, or 2 for a chain).
   static int CollectSources(const Session& session, const CachedPlan& planned,
                             SourceRun* out);
-  /// Serial evaluation over every source, hits shifted and merged.
-  /// `cancel` (nullable) is polled between sources.
-  Result<QueryResult> RunSerial(const Session& session,
-                                const CachedPlan& planned, const RowSink* sink,
-                                const std::atomic<bool>* cancel);
-  /// `cancel` (nullable) is polled per morsel: set mid-flight, the
-  /// remaining morsels are skipped and the query resolves to Cancelled.
-  Result<QueryResult> RunSharded(const Session& session, CachedPlanPtr planned,
-                                 const RowSink* sink,
-                                 const std::atomic<bool>* cancel);
-  Result<QueryResult> QueryOnce(const std::string& query, bool sharded,
-                                const RowSink* sink,
-                                const std::atomic<bool>* cancel);
+  /// Executes `planned` on up to `max_workers` workers. The scheduler
+  /// carves row-balanced morsels over every live source, or — when the
+  /// query is serial (one worker, a tiny root estimate, or too little to
+  /// carve) — takes one whole-range morsel per source and drains them on
+  /// the calling thread with nothing posted to the pool. Each morsel's
+  /// hits are shifted into chain tid space, checked against the morsel's
+  /// range and delivered to `ctx.sink`; `ctx.cancel` is polled per morsel.
+  Result<QueryResult> Run(const Session& session, const CachedPlan& planned,
+                          const QueryContext& ctx, int max_workers);
   /// Records `count` completed queries sharing one wall-clock measurement
   /// (QueryBatch's coalesced groups record every member at the group's
   /// latency; count-1 of them tick the coalesced counter).
@@ -321,7 +310,8 @@ class QueryService {
   /// every item has finished. The shared counter is the morsel cursor:
   /// whichever worker is free claims the next item, so skew balances
   /// itself and a saturated pool degrades to serial execution instead of
-  /// deadlocking.
+  /// deadlocking. With nobody to help (one worker or one item) the caller
+  /// drains every item without touching the pool.
   void RunOnPool(int items, int max_workers,
                  std::function<void(int, int)> fn);
   void RecordExec(const sql::ExecStats& exec, bool sharded);

@@ -63,12 +63,8 @@ class Runner {
   Runner(const NodeRelation& rel, const ExecOptions& options, ExecStats* stats)
       : rel_(rel), options_(options), stats_(stats) {}
 
-  Status Run(const PreparedPlan& pp, QueryResult* out) {
-    return RunShard(pp, 0, kMaxInt, out);
-  }
-
-  /// Like Run, but the root plan's first variable enumerates only rows of
-  /// trees in [tid_lo, tid_hi). Subplan frames are unaffected: they chase
+  /// Runs `pp` with the root plan's first variable enumerating only rows
+  /// of trees in [tid_lo, tid_hi). Subplan frames are unaffected: they chase
   /// correlations wherever the bound rows point. A vacuous range leaves
   /// root_pp_ null so serial execution keeps the unclamped fast paths.
   Status RunShard(const PreparedPlan& pp, int32_t tid_lo, int32_t tid_hi,
@@ -500,11 +496,7 @@ Result<QueryResult> PlanExecutor::Execute(const ExecPlan& plan,
 
 Result<QueryResult> PlanExecutor::ExecutePrepared(const PreparedPlan& pp,
                                                   ExecStats* stats) const {
-  if (stats != nullptr) stats->shards += 1;
-  Runner runner(rel_, options_, stats);
-  QueryResult out;
-  LPATH_RETURN_IF_ERROR(runner.Run(pp, &out));
-  return out;
+  return ExecuteShard(pp, 0, kMaxInt, stats);
 }
 
 Result<QueryResult> PlanExecutor::ExecuteShard(const PreparedPlan& pp,

@@ -87,7 +87,7 @@ class PlanExecutor {
   Result<QueryResult> Execute(const ExecPlan& plan,
                               ExecStats* stats = nullptr) const;
 
-  /// Runs an already prepared plan.
+  /// Runs an already prepared plan: ExecuteShard over the whole tid space.
   Result<QueryResult> ExecutePrepared(const PreparedPlan& pp,
                                       ExecStats* stats = nullptr) const;
 

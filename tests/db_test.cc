@@ -58,9 +58,17 @@ TEST(DatabaseTest, CatalogAttachQueryDetach) {
   EXPECT_EQ(wsj.value(), MustRun(database.snapshot("wsj")->relation(), q));
   EXPECT_EQ(swb.value(), MustRun(database.snapshot("swb")->relation(), q));
 
-  // Unknown names are NotFound everywhere.
-  EXPECT_TRUE(database.Query("brown", q).status().IsNotFound());
-  EXPECT_TRUE(database.Submit("brown", q).status().IsNotFound());
+  // Unknown names are NotFound everywhere; a routed call's done hook hears
+  // the NotFound too, once per call.
+  int done_calls = 0;
+  service::QueryContext ctx;
+  ctx.done = [&done_calls](const Status& s) {
+    EXPECT_TRUE(s.IsNotFound());
+    ++done_calls;
+  };
+  EXPECT_TRUE(database.Query("brown", q, ctx).status().IsNotFound());
+  EXPECT_TRUE(database.Submit("brown", q, ctx).status().IsNotFound());
+  EXPECT_EQ(done_calls, 2);
   EXPECT_TRUE(database.Swap("brown", database.snapshot("wsj")).IsNotFound());
   EXPECT_TRUE(database.Reload("brown").IsNotFound());
   EXPECT_EQ(database.snapshot("brown"), nullptr);
@@ -135,10 +143,11 @@ TEST(DatabaseTest, SubmitAndStreamRouteLikeQuery) {
   EXPECT_EQ(async.value(), sync.value());
 
   QueryResult streamed;
-  Status s = database.QueryStream("x", q, [&streamed](std::span<const Hit> rows) {
+  service::QueryContext ctx;
+  ctx.sink = [&streamed](std::span<const Hit> rows) {
     streamed.hits.insert(streamed.hits.end(), rows.begin(), rows.end());
-  });
-  ASSERT_TRUE(s.ok());
+  };
+  ASSERT_TRUE(database.Query("x", q, ctx).ok());
   streamed.Normalize();
   EXPECT_EQ(streamed, sync.value());
 }
@@ -199,11 +208,11 @@ TEST(DatabaseTest, HotSwapUnderConcurrentQueriesStaysConsistent) {
         if (!consistent) failures.fetch_add(1);
         // Exercise the streaming path under swaps too.
         QueryResult streamed;
-        Status s = database.QueryStream(
-            "x", queries[qi], [&streamed](std::span<const Hit> rows) {
-              streamed.hits.insert(streamed.hits.end(), rows.begin(),
-                                   rows.end());
-            });
+        service::QueryContext ctx;
+        ctx.sink = [&streamed](std::span<const Hit> rows) {
+          streamed.hits.insert(streamed.hits.end(), rows.begin(), rows.end());
+        };
+        const Status s = database.Query("x", queries[qi], ctx).status();
         streamed.Normalize();
         if (!s.ok() ||
             !(streamed == expected_a[qi] || streamed == expected_b[qi])) {

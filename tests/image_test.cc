@@ -459,7 +459,7 @@ TEST_F(ImageCorruptionTest, BracketFileIsNotAnImage) {
 
 // --- Mapped-snapshot hot swap under concurrency (TSan coverage) -------------
 
-// Clients hammer Query()/QueryStream() against a corpus whose snapshot
+// Clients hammer Query(), plain and streaming, against a corpus whose snapshot
 // alternates between an in-memory build and freshly opened mmap images;
 // retiring a mapped snapshot munmaps it, so this exercises exactly the
 // "mapping must outlive every in-flight reader" contract. Results must
@@ -495,11 +495,11 @@ TEST(ImageTest, MappedHotSwapHammerStaysConsistentAndSafe) {
         Result<QueryResult> r = database.Query("x", queries[qi]);
         if (!r.ok() || !(r.value() == expected[qi])) failures.fetch_add(1);
         QueryResult streamed;
-        Status s = database.QueryStream(
-            "x", queries[qi], [&streamed](std::span<const Hit> rows) {
-              streamed.hits.insert(streamed.hits.end(), rows.begin(),
-                                   rows.end());
-            });
+        service::QueryContext ctx;
+        ctx.sink = [&streamed](std::span<const Hit> rows) {
+          streamed.hits.insert(streamed.hits.end(), rows.begin(), rows.end());
+        };
+        const Status s = database.Query("x", queries[qi], ctx).status();
         streamed.Normalize();
         if (!s.ok() || !(streamed == expected[qi])) failures.fetch_add(1);
       }

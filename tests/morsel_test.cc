@@ -3,7 +3,7 @@
 // tree-count-based work splitting):
 //   - the planner's row-balanced carving must bound per-worker work where
 //     the old even-by-tid split provably does not;
-//   - morsel execution (sync Query and QueryStream) must be result-
+//   - morsel execution (Query, plain and streaming) must be result-
 //     identical to serial ExecutePrepared — differential over the fuzz
 //     query generator;
 //   - EXISTS-heavy queries must survive concurrent morsels plus snapshot
@@ -184,9 +184,11 @@ TEST_F(MorselServiceTest, StreamedMorselBatchesMatchSerialOnSkewedCorpus) {
   for (int i = 0; i < 100; ++i) {
     const std::string q = gen.Query();
     std::vector<std::vector<Hit>> batches;
-    Status s = service->QueryStream(q, [&batches](std::span<const Hit> rows) {
+    service::QueryContext ctx;
+    ctx.sink = [&batches](std::span<const Hit> rows) {
       batches.emplace_back(rows.begin(), rows.end());
-    });
+    };
+    const Status s = service->Query(q, ctx).status();
     ASSERT_TRUE(s.ok()) << q << " -> " << s;
 
     // Delivery contract unchanged by morsel scheduling: batches internally
@@ -271,12 +273,12 @@ TEST(MorselMemoHammerTest, ConcurrentMorselsAndHotSwapsStayConsistent) {
           failures.fetch_add(1);
         }
         QueryResult streamed;
-        Status s = service.QueryStream(
-            queries[(qi + 1) % queries.size()],
-            [&streamed](std::span<const Hit> rows) {
-              streamed.hits.insert(streamed.hits.end(), rows.begin(),
-                                   rows.end());
-            });
+        service::QueryContext ctx;
+        ctx.sink = [&streamed](std::span<const Hit> rows) {
+          streamed.hits.insert(streamed.hits.end(), rows.begin(), rows.end());
+        };
+        const Status s =
+            service.Query(queries[(qi + 1) % queries.size()], ctx).status();
         streamed.Normalize();
         const size_t si = (qi + 1) % queries.size();
         if (!s.ok() ||

@@ -375,24 +375,6 @@ TEST_F(QueryServiceTest, UpdateSnapshotServesTheNewCorpus) {
   EXPECT_EQ(service->Stats().cache.misses, 1u);
 }
 
-TEST_F(QueryServiceTest, ViaSqlTextPreparesIdenticalResults) {
-  service::QueryServiceOptions direct;
-  service::QueryServiceOptions roundtrip;
-  roundtrip.via_sql_text = true;
-  auto a = MakeService(direct);
-  auto b = MakeService(roundtrip);
-  Rng rng(5150);
-  QueryGen gen(&rng);
-  for (int i = 0; i < 40; ++i) {
-    const std::string q = gen.Query();
-    Result<QueryResult> ra = a->Query(q);
-    Result<QueryResult> rb = b->Query(q);
-    ASSERT_TRUE(ra.ok()) << q;
-    ASSERT_TRUE(rb.ok()) << q;
-    ASSERT_EQ(ra.value(), rb.value()) << "query: " << q;
-  }
-}
-
 TEST_F(QueryServiceTest, ConcurrentClientsSeeConsistentResults) {
   service::QueryServiceOptions opts;
   opts.threads = 4;

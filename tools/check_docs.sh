@@ -12,11 +12,14 @@
 #      src/net/protocol.h must be named in it. Catches protocol changes
 #      that skip the spec.
 #
-#   3. docs/OPERATIONS.md's executor table is the glossary of
-#      sql::ExecStats: every uint64_t field of the struct in
-#      src/sql/executor.h must be named in the table's counter column,
-#      and every backticked counter there must still be a field. Catches
-#      counters added without a gloss and glosses left behind by deletions.
+#   3. docs/OPERATIONS.md's counter tables are the glossaries of the
+#      stats structs: every uint64_t field of sql::ExecStats
+#      (src/sql/executor.h) must be named in the counter column of the
+#      "Executor" table, and every uint64_t field of service::ServiceStats
+#      (src/service/query_service.h) in the "Service" table; every
+#      backticked name in those columns must still be a field of its
+#      struct (`cache.*` names the field `cache`). Catches counters added
+#      without a gloss and glosses left behind by deletions.
 #
 # Exits nonzero listing every violation. Run from the repository root.
 set -u
@@ -69,38 +72,54 @@ elif [ -f "$header" ]; then
   fail=1
 fi
 
-# --- 3. OPERATIONS.md glosses exactly the ExecStats counters -------------
+# --- 3. OPERATIONS.md glosses exactly the stats counters -----------------
 
-stats_header=src/sql/executor.h
 ops=docs/OPERATIONS.md
-if [ -f "$stats_header" ] && [ -f "$ops" ]; then
-  fields=$(
-    sed -n '/^struct ExecStats {/,/^};/p' "$stats_header" |
-      grep -o '^  uint64_t [a-z_0-9]*' | awk '{print $2}' | sort -u
+
+# check_gloss STRUCT HEADER HEADING: the table under "### HEADING" in
+# $ops names every uint64_t field of STRUCT (declared in HEADER), and
+# nothing that is not a field of it.
+check_gloss() {
+  struct=$1 header=$2 heading=$3
+  [ -f "$header" ] && [ -f "$ops" ] || return 0
+  body=$(sed -n "/^struct $struct {/,/^};/p" "$header")
+  counters=$(
+    printf '%s\n' "$body" | grep -o '^  uint64_t [a-z_0-9]*' |
+      awk '{print $2}' | sort -u
   )
-  # Counter column of the table under the "### Executor" heading: the
-  # backticked names between a row's first two pipes.
+  # Every data member, whatever its type: `  Type name [= init];`.
+  members=$(
+    printf '%s\n' "$body" |
+      grep -o '^  [A-Za-z][A-Za-z0-9_:<>]* [a-z_][a-z_0-9]*\( =[^;]*\)\{0,1\};' |
+      awk '{print $2}' | tr -d ';' | sort -u
+  )
+  # Counter column: the backticked names between a row's first two pipes.
   glossed=$(
-    sed -n '/^### Executor/,/^##/p' "$ops" | grep '^| `' |
-      cut -d'|' -f2 | grep -o '`[^`]*`' | tr -d '`' | sort -u
+    sed -n "/^### $heading/,/^##/p" "$ops" | grep '^| `' |
+      cut -d'|' -f2 | grep -o '`[^`]*`' | tr -d '`' | sed 's/\.\*$//' |
+      sort -u
   )
-  if [ -z "$fields" ] || [ -z "$glossed" ]; then
-    say "MISSING: ExecStats fields or the executor table in $ops"
+  if [ -z "$counters" ] || [ -z "$glossed" ]; then
+    say "MISSING: $struct fields or the \"$heading\" table in $ops"
     fail=1
+    return 0
   fi
-  for field in $fields; do
+  for field in $counters; do
     if ! printf '%s\n' "$glossed" | grep -qx "$field"; then
-      say "UNDOCUMENTED: ExecStats::$field is not in $ops's executor table"
+      say "UNDOCUMENTED: $struct::$field is not in $ops's $heading table"
       fail=1
     fi
   done
   for name in $glossed; do
-    if ! printf '%s\n' "$fields" | grep -qx "$name"; then
-      say "STALE: $ops's executor table names $name, not an ExecStats field"
+    if ! printf '%s\n' "$members" | grep -qx "$name"; then
+      say "STALE: $ops's $heading table names $name, not a field of $struct"
       fail=1
     fi
   done
-fi
+}
+
+check_gloss ExecStats src/sql/executor.h Executor
+check_gloss ServiceStats src/service/query_service.h Service
 
 if [ "$fail" -ne 0 ]; then
   say ""
