@@ -11,9 +11,9 @@ and the current run, printing a GitHub-flavoured markdown table plus
 ``::warning::`` / ``::notice::`` workflow annotations.
 
 ``--ratio NUM DEN`` additionally reports the per-row QPS ratio between two
-columns of the *same* run (e.g. ``--ratio Coalesced PerText`` for
-BENCH_plan_cache.json: how much faster coalesced batch serving is than
-per-text serving), for baseline and current side by side, plus the geometric mean. A geomean below 1.0 in the
+columns of the *same* run (e.g. ``--ratio T4 T1`` for BENCH_fig11.json:
+the four-thread speedup over one thread), for baseline and current side by
+side, plus the geometric mean. A geomean below 1.0 in the
 current run (the numerator column lost to the denominator) draws a
 ``::warning::``; like everything here it never fails the build.
 

@@ -2,18 +2,15 @@
 // QueryService serving layer versus thread count, on the WSJ and SWB
 // profile corpora.
 //
-// Three shapes are measured over the 23-query suite:
-//   Batch/<dataset>/threads:N — the serving path: the suite submitted as a
-//     batch, queries spread across N pool workers, plans from the LRU
-//     cache. Reported as items_per_second (QPS).
+// Two shapes are measured over the 23-query suite, plans from the warm LRU
+// cache:
 //   Morsel/<dataset>/threads:N — single-query latency: each query's
 //     execution carved into row-balanced morsels pulled by N workers from
 //     the shared claim cursor.
 //   Serial/<dataset>/threads:N — the serial baseline (fan-out forced to
 //     one); flat in N by construction.
-// Expected shape: batch QPS scales near-linearly with threads until the
-// corpus's tree count or memory bandwidth binds; morsel latency gains are
-// query-dependent (long scans split well, tiny lookups are overhead-bound).
+// Expected shape: morsel latency gains are query-dependent (long scans
+// split well, tiny lookups are overhead-bound).
 // The printed table reports the speedup over threads:1.
 //
 // Machine-readable output (the BENCH_*.json trajectory): set
@@ -45,10 +42,9 @@ const std::vector<std::string>& SuiteQueries() {
 /// baseline — the serial/parallel axis of the report.
 enum class Mode { kSerial, kMorsel };
 
-/// Services keyed by (dataset, threads, mode), shared by the Batch and
-/// Morsel benchmarks. A leaked-pointer map (so no static destructor drops
-/// the entries behind LeakSanitizer's back); main() frees the services,
-/// which also joins their pools.
+/// Services keyed by (dataset, threads, mode). A leaked-pointer map (so
+/// no static destructor drops the entries behind LeakSanitizer's back);
+/// main() frees the services, which also joins their pools.
 std::map<std::tuple<Dataset, int, Mode>, service::QueryService*>&
 ServiceRegistry() {
   static auto* services =
@@ -100,44 +96,14 @@ std::string RowName(const char* shape, Dataset dataset) {
   return row;
 }
 
-/// The full suite submitted as one batch; QPS = queries / wall time.
-void BenchBatch(benchmark::State& st, Dataset dataset, int threads) {
-  service::QueryService* service = GetService(dataset, threads, Mode::kMorsel);
-  const std::vector<std::string>& queries = SuiteQueries();
-
-  double total = 0.0;
-  uint64_t iters = 0;
-  for (auto _ : st) {
-    Timer timer;
-    std::vector<Result<QueryResult>> results = service->QueryBatch(queries);
-    total += timer.ElapsedSeconds();
-    for (const Result<QueryResult>& r : results) {
-      if (!r.ok()) {
-        st.SkipWithError(r.status().ToString().c_str());
-        return;
-      }
-    }
-    ++iters;
-  }
-  st.SetItemsProcessed(static_cast<int64_t>(iters * queries.size()));
-  if (iters > 0) {
-    const double per_batch = total / static_cast<double>(iters);
-    st.counters["qps"] =
-        static_cast<double>(queries.size()) / per_batch;
-    Fig11Table().Record(RowName("Batch", dataset), ThreadColumn(threads),
-                        Measurement{per_batch, queries.size(), true});
-  }
-}
-
 /// One pass over the suite, each query morsel-parallel (or forced serial);
 /// mean seconds per suite pass.
 void BenchPerQuery(benchmark::State& st, Dataset dataset, int threads,
                    Mode mode) {
   service::QueryService* service = GetService(dataset, threads, mode);
   const std::vector<std::string>& queries = SuiteQueries();
-  // Stats are service-lifetime-cumulative and the service is shared with
-  // the Batch benchmark (whose queries all run serially); report this
-  // loop's delta or the fan-out counters dilute toward 1.
+  // Stats are service-lifetime-cumulative and this body runs more than
+  // once per service; report this loop's delta.
   const service::ServiceStats before = service->Stats();
 
   double total = 0.0;
@@ -181,16 +147,6 @@ void RegisterAll() {
         const char* prefix;
         Mode mode;
       };
-      std::string batch_name = RowName("Batch", dataset);
-      batch_name += "/threads:";
-      batch_name += std::to_string(threads);
-      benchmark::RegisterBenchmark(
-          batch_name.c_str(),
-          [dataset, threads](benchmark::State& st) {
-            BenchBatch(st, dataset, threads);
-          })
-          ->UseRealTime()
-          ->Unit(benchmark::kMillisecond);
       for (const Shape& shape :
            {Shape{"Morsel", Mode::kMorsel}, Shape{"Serial", Mode::kSerial}}) {
         std::string name = RowName(shape.prefix, dataset);

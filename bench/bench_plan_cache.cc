@@ -1,24 +1,14 @@
-// Plan-cache benchmark: what structural fingerprints buy the serving path
-// when a hot working set arrives under many spellings (the realistic shape
-// for generated queries: tools quote tags differently, reformat whitespace,
-// or template the same structure into fresh text).
+// Plan-cache benchmark: what the text-keyed prepared-plan cache buys the
+// serving path when a hot working set arrives under many spellings (the
+// realistic shape for generated queries: tools quote tags differently,
+// reformat whitespace, or template the same structure into fresh text).
 //
 //   prepare/Cold       — seconds per *structure* for the full cold path on
 //                        a fresh session: parse + compile + optimize +
 //                        per-source sql::Prepare.
-//   prepare/Respelled  — seconds per *spelling* when the structure is
-//                        already cached under different text: parse +
-//                        compile + fingerprint probe, no sql::Prepare. The
-//                        gap to Cold is the amortized prepare work; the
-//                        `prepares` counter proves it is exactly zero.
 //   hot_exec/PerText   — QPS of a hot mixed-spelling batch issued as
 //                        individual Query() calls (every member is a plan
 //                        cache hit; every member still executes).
-//   hot_exec/Coalesced — the same batch through QueryBatch(): members that
-//                        resolve to one cached plan coalesce into a single
-//                        execution fanned out to all of them. The
-//                        acceptance bar is Coalesced QPS >= PerText QPS
-//                        (bench_diff --ratio Coalesced PerText).
 //
 // Machine-readable output: set LPATHDB_BENCH_JSON=<path> to dump the table
 // as the BENCH_plan_cache.json trajectory (bench_diff.py diffs it against
@@ -35,7 +25,6 @@
 #include "bench_common.h"
 #include "gen/generator.h"
 #include "service/query_service.h"
-#include "sql/optimizer.h"
 #include "storage/snapshot.h"
 
 namespace lpath {
@@ -138,8 +127,8 @@ void FreeFixture() {
 
 ReportTable& PlanCacheTable() {
   static ReportTable* table = new ReportTable(
-      "Plan cache — fingerprint-shared preparation and batch coalescing "
-      "(WSJ, mixed-spelling hot set)");
+      "Plan cache — cold preparation and hot per-text serving (WSJ, "
+      "mixed-spelling hot set)");
   return *table;
 }
 
@@ -172,52 +161,8 @@ void BenchPrepareCold(benchmark::State& st) {
   }
 }
 
-/// Fresh spellings of already-cached structures: parse + compile +
-/// fingerprint bind, zero sql::Prepare calls (counter-witnessed).
-void BenchPrepareRespelled(benchmark::State& st) {
-  PlanCacheFixture& fx = GetPlanCacheFixture();
-  constexpr int kVariants = kSpellingsPerStructure - 1;  // skip verbatim
-  double total = 0.0;
-  uint64_t iters = 0;
-  uint64_t prepares = 0;
-  for (auto _ : st) {
-    fx.service->UpdateSnapshot(fx.snap);
-    for (const char* structure : kStructures) {  // warm structure, untimed
-      auto plan = fx.service->GetPlan(structure);
-      if (!plan.ok()) {
-        st.SkipWithError(plan.status().ToString().c_str());
-        return;
-      }
-    }
-    const uint64_t before = sql::PrepareCallCount();
-    Timer timer;
-    for (const char* structure : kStructures) {
-      for (int v = 1; v <= kVariants; ++v) {
-        auto plan = fx.service->GetPlan(Respell(structure, v));
-        if (!plan.ok()) {
-          st.SkipWithError(plan.status().ToString().c_str());
-          return;
-        }
-        benchmark::DoNotOptimize(plan.value());
-      }
-    }
-    total += timer.ElapsedSeconds();
-    prepares += sql::PrepareCallCount() - before;
-    ++iters;
-  }
-  constexpr int kPerIter = kNumStructures * kVariants;
-  st.SetItemsProcessed(static_cast<int64_t>(iters * kPerIter));
-  st.counters["prepares"] = static_cast<double>(prepares);
-  if (iters > 0) {
-    PlanCacheTable().Record(
-        "prepare", "Respelled",
-        Measurement{total / static_cast<double>(iters),
-                    static_cast<size_t>(kPerIter), true});
-  }
-}
-
-/// Ensures every hot-batch member is cached (idempotent; first call does
-/// the binds).
+/// Ensures every hot-batch member is cached (idempotent; the first call
+/// prepares each spelling).
 bool WarmHotBatch(benchmark::State& st) {
   PlanCacheFixture& fx = GetPlanCacheFixture();
   for (const std::string& q : fx.hot_batch) {
@@ -259,45 +204,13 @@ void BenchHotPerText(benchmark::State& st) {
   }
 }
 
-/// The same batch through QueryBatch(): same-structure members coalesce to
-/// one execution each.
-void BenchHotCoalesced(benchmark::State& st) {
-  PlanCacheFixture& fx = GetPlanCacheFixture();
-  if (!WarmHotBatch(st)) return;
-  double total = 0.0;
-  uint64_t evaluated = 0;
-  for (auto _ : st) {
-    Timer timer;
-    std::vector<Result<QueryResult>> results =
-        fx.service->QueryBatch(fx.hot_batch);
-    total += timer.ElapsedSeconds();
-    for (const Result<QueryResult>& r : results) {
-      if (!r.ok()) {
-        st.SkipWithError(r.status().ToString().c_str());
-        return;
-      }
-    }
-    evaluated += fx.hot_batch.size();
-  }
-  st.SetItemsProcessed(static_cast<int64_t>(evaluated));
-  if (evaluated > 0 && total > 0.0) {
-    st.counters["qps"] = static_cast<double>(evaluated) / total;
-    const double per_batch = total * static_cast<double>(fx.hot_batch.size()) /
-                             static_cast<double>(evaluated);
-    PlanCacheTable().Record("hot_exec", "Coalesced",
-                            Measurement{per_batch, fx.hot_batch.size(), true});
-  }
-}
-
 void RegisterAll() {
   struct Entry {
     const char* name;
     void (*fn)(benchmark::State&);
   };
   for (const Entry& e : {Entry{"prepare/Cold", BenchPrepareCold},
-                         Entry{"prepare/Respelled", BenchPrepareRespelled},
-                         Entry{"hot_exec/PerText", BenchHotPerText},
-                         Entry{"hot_exec/Coalesced", BenchHotCoalesced}}) {
+                         Entry{"hot_exec/PerText", BenchHotPerText}}) {
     benchmark::RegisterBenchmark(e.name, e.fn)
         ->UseRealTime()
         ->Unit(benchmark::kMillisecond);
@@ -305,14 +218,12 @@ void RegisterAll() {
 }
 
 void PrintTables() {
-  printf("%s", PlanCacheTable()
-                   .Render({"Cold", "Respelled", "PerText", "Coalesced"})
-                   .c_str());
-  printf("\n(prepare: per pass — Cold preps %d structures, Respelled binds "
-         "%d fresh spellings; hot_exec: per %zu-member mixed-spelling batch; "
-         "scale: %d sentences, LPATHDB_SENTENCES overrides)\n",
-         kNumStructures, kNumStructures * (kSpellingsPerStructure - 1),
-         GetPlanCacheFixture().hot_batch.size(), PlanCacheSentences());
+  printf("%s", PlanCacheTable().Render({"Cold", "PerText"}).c_str());
+  printf("\n(prepare: per pass — Cold preps %d structures; hot_exec: per "
+         "%zu-member mixed-spelling batch; scale: %d sentences, "
+         "LPATHDB_SENTENCES overrides)\n",
+         kNumStructures, GetPlanCacheFixture().hot_batch.size(),
+         PlanCacheSentences());
 }
 
 /// Writes the table as the BENCH_plan_cache.json trajectory point when

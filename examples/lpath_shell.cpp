@@ -88,10 +88,9 @@ void PrintServiceStats(const std::string& name,
   const service::ServiceStats st = service.Stats();
   std::printf(
       "service[%s]: %d threads, %llu queries (%llu errors, %llu sharded, "
-      "%llu serial, %llu batch-coalesced)\n"
-      "plan cache: %zu/%zu plans (%zu spellings, %zu fingerprints), "
-      "%llu hits (%llu negative), %llu misses, %llu shared-prepare, "
-      "%llu fp-collisions, %llu evictions\n"
+      "%llu serial)\n"
+      "plan cache: %zu/%zu plans, %llu hits (%llu negative), %llu misses, "
+      "%llu evictions\n"
       "latency: p50 %.3f ms, p90 %.3f ms, p99 %.3f ms, max %.3f ms "
       "(%zu samples)\n"
       "executor: %llu candidates, %llu bindings, %llu subqueries, "
@@ -104,14 +103,10 @@ void PrintServiceStats(const std::string& name,
       static_cast<unsigned long long>(st.queries),
       static_cast<unsigned long long>(st.errors),
       static_cast<unsigned long long>(st.sharded_queries),
-      static_cast<unsigned long long>(st.serial_queries),
-      static_cast<unsigned long long>(st.batch_coalesced), st.cache.size,
-      st.cache.capacity, st.cache.texts, st.cache.fingerprints,
-      static_cast<unsigned long long>(st.cache.hits),
+      static_cast<unsigned long long>(st.serial_queries), st.cache.size,
+      st.cache.capacity, static_cast<unsigned long long>(st.cache.hits),
       static_cast<unsigned long long>(st.cache.negative_hits),
       static_cast<unsigned long long>(st.cache.misses),
-      static_cast<unsigned long long>(st.cache.shared_prepare_hits),
-      static_cast<unsigned long long>(st.cache.fingerprint_collisions),
       static_cast<unsigned long long>(st.cache.evictions),
       st.latency.p50_ms, st.latency.p90_ms, st.latency.p99_ms,
       st.latency.max_ms, st.latency.samples,

@@ -9,7 +9,6 @@
 #include "common/timer.h"
 #include "lpath/parser.h"
 #include "plan/compile.h"
-#include "sql/fingerprint.h"
 
 namespace lpath {
 namespace service {
@@ -123,59 +122,30 @@ Result<CachedPlan> QueryService::PrepareCompiled(const Session& session,
   return entry;
 }
 
-Result<CachedPlanPtr> QueryService::ProbePlan(const Session& session,
-                                              const std::string& key,
-                                              ExecPlan* compiled,
-                                              uint64_t* fingerprint) {
+Result<CachedPlanPtr> QueryService::GetPlanIn(const Session& session,
+                                              const std::string& query) {
+  const std::string key = NormalizeQueryText(query);
   if (CachedPlanPtr cached = session.cache.Get(key)) {
     if (cached->negative()) return cached->error;
     return cached;
   }
-  // Compile outside the cache lock, then probe the structural level: a
-  // respelling of a cached structure binds to the existing entry and
-  // shares its prepared plans without a sql::Prepare.
-  Result<ExecPlan> plan = CompileQuery(session, key);
-  if (!plan.ok()) {
-    // Negative entry: the same bad text will be answered from the cache.
-    session.cache.PutNegative(key, plan.status());
-    return plan.status();
+  // A miss compiles and prepares outside the cache lock. Either failure is
+  // cached as a negative entry: the same bad text will be answered from
+  // the cache.
+  Result<ExecPlan> compiled = CompileQuery(session, key);
+  if (!compiled.ok()) {
+    session.cache.PutNegative(key, compiled.status());
+    return compiled.status();
   }
-  *fingerprint = sql::PlanFingerprint(*plan);
-  if (CachedPlanPtr shared =
-          session.cache.GetByFingerprint(key, *fingerprint, *plan)) {
-    return shared;
-  }
-  *compiled = std::move(*plan);
-  return CachedPlanPtr(nullptr);
-}
-
-Result<CachedPlanPtr> QueryService::PreparePlan(const Session& session,
-                                                const std::string& key,
-                                                uint64_t fingerprint,
-                                                ExecPlan compiled) {
-  Result<CachedPlan> prepared = PrepareCompiled(session, compiled);
+  Result<CachedPlan> prepared = PrepareCompiled(session, *compiled);
   if (!prepared.ok()) {
     session.cache.PutNegative(key, prepared.status());
     return prepared.status();
   }
-  prepared->fingerprint = fingerprint;
-  auto entry = std::make_shared<const CachedPlan>(std::move(*prepared));
-  return session.cache.Put(key, fingerprint, std::move(compiled),
-                           std::move(entry));
-}
-
-Result<CachedPlanPtr> QueryService::GetPlanIn(const Session& session,
-                                              const std::string& query) {
-  const std::string key = NormalizeQueryText(query);
-  ExecPlan compiled;
-  uint64_t fingerprint = 0;
-  LPATH_ASSIGN_OR_RETURN(CachedPlanPtr planned,
-                         ProbePlan(session, key, &compiled, &fingerprint));
-  if (planned != nullptr) return planned;
   // A racing miss duplicates the prepare; Put publishes the first bundle
-  // and the racer adopts it (bundles of one structure are
-  // interchangeable).
-  return PreparePlan(session, key, fingerprint, std::move(compiled));
+  // and the racer adopts it.
+  return session.cache.Put(
+      key, std::make_shared<const CachedPlan>(std::move(*prepared)));
 }
 
 Result<std::shared_ptr<const sql::PreparedPlan>> QueryService::GetPlan(
@@ -200,8 +170,11 @@ int QueryService::CollectSources(const Session& session,
 
 Result<QueryResult> QueryService::Run(const Session& session,
                                       const CachedPlan& planned,
-                                      const QueryContext& ctx,
-                                      int max_workers) {
+                                      const QueryContext& ctx) {
+  const int max_workers =
+      options_.shards_per_query > 0
+          ? std::min(options_.shards_per_query, pool_->size())
+          : pool_->size();
   SourceRun sources[2];
   const int nsources = CollectSources(session, planned, sources);
   // Adaptive fan-out: when the optimizer expects the root variable to
@@ -367,22 +340,18 @@ void QueryService::RunOnPool(int items, int max_workers,
   state->done_cv.wait(lock, [&state] { return state->done == state->items; });
 }
 
-void QueryService::RecordQueries(double seconds, bool error, int count,
-                                 int coalesced) {
+void QueryService::RecordQuery(double seconds, bool error) {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  queries_ += static_cast<uint64_t>(count);
-  if (error) errors_ += static_cast<uint64_t>(count);
-  batch_coalesced_ += static_cast<uint64_t>(coalesced);
-  total_seconds_ += seconds * count;
+  queries_ += 1;
+  if (error) errors_ += 1;
+  total_seconds_ += seconds;
   const double ms = seconds * 1e3;
-  for (int i = 0; i < count; ++i) {
-    if (latency_ring_ms_.size() < kLatencySamples) {
-      latency_ring_ms_.push_back(ms);
-    } else {
-      latency_ring_ms_[next_sample_ % kLatencySamples] = ms;
-    }
-    next_sample_ += 1;
+  if (latency_ring_ms_.size() < kLatencySamples) {
+    latency_ring_ms_.push_back(ms);
+  } else {
+    latency_ring_ms_[next_sample_ % kLatencySamples] = ms;
   }
+  next_sample_ += 1;
 }
 
 Result<QueryResult> QueryService::Query(const std::string& query,
@@ -393,13 +362,9 @@ Result<QueryResult> QueryService::Query(const std::string& query,
   SessionPtr session = CurrentSession();
   Result<QueryResult> r = [&]() -> Result<QueryResult> {
     LPATH_ASSIGN_OR_RETURN(CachedPlanPtr planned, GetPlanIn(*session, query));
-    const int workers = options_.shards_per_query > 0
-                            ? std::min(options_.shards_per_query, pool_->size())
-                            : pool_->size();
-    return Run(*session, *planned, ctx, workers);
+    return Run(*session, *planned, ctx);
   }();
-  RecordQueries(timer.ElapsedSeconds(), !r.ok(), /*count=*/1,
-                /*coalesced=*/0);
+  RecordQuery(timer.ElapsedSeconds(), !r.ok());
   if (ctx.done) ctx.done(r.status());
   return r;
 }
@@ -414,148 +379,6 @@ PendingQuery QueryService::Submit(const std::string& query, QueryContext ctx) {
   PendingQuery handle(task->get_future().share());
   pool_->Post([task] { (*task)(); });
   return handle;
-}
-
-std::vector<Result<QueryResult>> QueryService::QueryBatch(
-    const std::vector<std::string>& queries) {
-  std::vector<Result<QueryResult>> results(queries.size(),
-                                           Result<QueryResult>(QueryResult{}));
-  if (queries.empty()) return results;
-
-  // One consistent session for the whole batch, so every member resolves
-  // and executes against the same snapshot and the same cache.
-  SessionPtr session = CurrentSession();
-
-  // Coalescing, stage 1: group members by normalized text (exact
-  // respellings collapse for free) and probe the cache for each distinct
-  // text once — in parallel, since cache misses carry the parse/compile
-  // cost. A text the cache cannot answer keeps its compiled plan.
-  struct TextGroup {
-    std::string key;
-    std::vector<int> members;
-    /// OK(null) while the text awaits a prepare.
-    Result<CachedPlanPtr> planned = Result<CachedPlanPtr>(nullptr);
-    ExecPlan compiled;
-    uint64_t fingerprint = 0;
-  };
-  std::vector<TextGroup> texts;
-  {
-    std::unordered_map<std::string, size_t> index;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      std::string key = NormalizeQueryText(queries[i]);
-      auto [it, inserted] = index.emplace(std::move(key), texts.size());
-      if (inserted) {
-        texts.push_back(TextGroup{});
-        texts.back().key = it->first;
-      }
-      texts[it->second].members.push_back(static_cast<int>(i));
-    }
-  }
-  RunOnPool(static_cast<int>(texts.size()), pool_->size(),
-            [this, &session, &texts](int i, int /*worker*/) {
-    TextGroup& text = texts[i];
-    text.planned = ProbePlan(*session, text.key, &text.compiled,
-                             &text.fingerprint);
-  });
-  const auto awaits_prepare = [](const TextGroup& text) {
-    return text.planned.ok() && *text.planned == nullptr;
-  };
-
-  // Stage 2: texts awaiting a prepare group by structure — the fingerprint
-  // narrows, PlanEquals decides — so each structure prepares once, before
-  // any of its spellings could race another into a second prepare. The
-  // first text of a structure prepares and publishes; the others bind to
-  // the published entry.
-  std::vector<std::vector<size_t>> structures;
-  {
-    std::unordered_map<uint64_t, std::vector<size_t>> by_fingerprint;
-    for (size_t t = 0; t < texts.size(); ++t) {
-      if (!awaits_prepare(texts[t])) continue;
-      std::vector<size_t>& candidates = by_fingerprint[texts[t].fingerprint];
-      const auto same = std::find_if(
-          candidates.begin(), candidates.end(), [&](size_t s) {
-            return sql::PlanEquals(texts[structures[s].front()].compiled,
-                                   texts[t].compiled);
-          });
-      if (same != candidates.end()) {
-        structures[*same].push_back(t);
-      } else {
-        candidates.push_back(structures.size());
-        structures.push_back({t});
-      }
-    }
-  }
-  RunOnPool(static_cast<int>(structures.size()), pool_->size(),
-            [this, &session, &texts, &structures](int s, int /*worker*/) {
-    const std::vector<size_t>& spellings = structures[s];
-    TextGroup& lead = texts[spellings.front()];
-    lead.planned = PreparePlan(*session, lead.key, lead.fingerprint,
-                               std::move(lead.compiled));
-    for (size_t k = 1; k < spellings.size(); ++k) {
-      TextGroup& text = texts[spellings[k]];
-      if (!lead.planned.ok()) {
-        session->cache.PutNegative(text.key, lead.planned.status());
-        text.planned = lead.planned.status();
-        continue;
-      }
-      CachedPlanPtr shared = session->cache.GetByFingerprint(
-          text.key, text.fingerprint, text.compiled);
-      text.planned = shared != nullptr
-                         ? shared
-                         : session->cache.Put(text.key, text.fingerprint,
-                                              std::move(text.compiled),
-                                              *lead.planned);
-    }
-  });
-
-  // Stage 3: distinct texts that resolved to the same cache entry —
-  // structurally identical spellings — merge into one execution group.
-  // Entry identity is pointer identity: the cache binds equal structures
-  // to one shared CachedPlan.
-  struct ExecGroup {
-    CachedPlanPtr planned;
-    std::vector<int> members;
-  };
-  std::vector<ExecGroup> groups;
-  {
-    std::unordered_map<const CachedPlan*, size_t> index;
-    for (TextGroup& text : texts) {
-      if (!text.planned.ok()) {
-        // Resolution errors fan out to every member of the text group.
-        for (int member : text.members) {
-          results[member] = text.planned.status();
-        }
-        RecordQueries(/*seconds=*/0.0, /*error=*/true,
-                      static_cast<int>(text.members.size()),
-                      /*coalesced=*/0);
-        continue;
-      }
-      const CachedPlanPtr& planned = *text.planned;
-      auto [it, inserted] = index.emplace(planned.get(), groups.size());
-      if (inserted) {
-        groups.push_back(ExecGroup{planned, {}});
-      }
-      ExecGroup& group = groups[it->second];
-      group.members.insert(group.members.end(), text.members.begin(),
-                           text.members.end());
-    }
-  }
-
-  // Stage 4: workers claim whole groups; each group executes its plan
-  // once on one worker (so concurrent groups do not contend over
-  // intra-query morsels), and the result fans out to every member.
-  RunOnPool(static_cast<int>(groups.size()), pool_->size(),
-            [this, &session, &groups, &results](int g, int /*worker*/) {
-    ExecGroup& group = groups[g];
-    Timer timer;
-    Result<QueryResult> r =
-        Run(*session, *group.planned, QueryContext{}, /*max_workers=*/1);
-    for (int member : group.members) results[member] = r;
-    RecordQueries(timer.ElapsedSeconds(), !r.ok(),
-                  static_cast<int>(group.members.size()),
-                  static_cast<int>(group.members.size()) - 1);
-  });
-  return results;
 }
 
 void QueryService::RecordExec(const sql::ExecStats& exec, bool sharded) {
@@ -610,7 +433,6 @@ ServiceStats QueryService::Stats() const {
     s.wal_bytes = wal_bytes_;
     s.replayed_batches = replayed_batches_;
     s.checkpoints = checkpoints_;
-    s.batch_coalesced = batch_coalesced_;
     s.exec = exec_;
     s.total_seconds = total_seconds_;
     sorted = latency_ring_ms_;
@@ -636,7 +458,6 @@ void QueryService::ResetStats() {
   wal_bytes_ = 0;
   replayed_batches_ = 0;
   checkpoints_ = 0;
-  batch_coalesced_ = 0;
   exec_ = sql::ExecStats{};
   total_seconds_ = 0.0;
   latency_ring_ms_.clear();

@@ -10,12 +10,10 @@
 //     and relation) alive via shared ownership, and new queries pick up the
 //     new one. Prepared plans resolve symbols against one snapshot's
 //     dictionary, so each session gets its own cache;
-//   - a two-level LRU prepared-plan cache: normalized query text in
-//     front, structural plan fingerprints behind (see service/plan_cache.h)
-//     — so each distinct query is parsed, compiled and optimized once,
-//     distinct *spellings* of one structure share a single prepared plan
-//     bundle, and *negative* entries cache the error of a malformed query
-//     instead of re-deriving it per submission;
+//   - an LRU prepared-plan cache keyed by normalized query text (see
+//     service/plan_cache.h) — so each distinct query text is parsed,
+//     compiled and optimized once, and *negative* entries cache the error
+//     of a malformed query instead of re-deriving it per submission;
 //   - a fixed thread pool running morsel-driven parallel execution: the
 //     scheduler carves the tree-id space into ~kMorselsPerThread×workers
 //     row-balanced morsels (storage::NodeRelation::CarveTidRanges over the
@@ -39,11 +37,6 @@
 //                 when one is set.
 //   Submit()      asynchronous; returns a future-like PendingQuery handle
 //                 and evaluates Query() on the pool.
-//   QueryBatch()  spreads a batch of queries over the pool workers — the
-//                 throughput path a front end with its own queue would use.
-//                 Members that resolve to the same cached plan (same
-//                 structure, any spelling) coalesce into one execution
-//                 whose result fans out to all of them.
 //   GetPlan()     warmup and plan introspection.
 
 #ifndef LPATHDB_SERVICE_QUERY_SERVICE_H_
@@ -114,10 +107,6 @@ struct ServiceStats {
   uint64_t wal_bytes = 0;        ///< payload bytes of those records
   uint64_t replayed_batches = 0; ///< WAL batches recovered on attach/open
   uint64_t checkpoints = 0;      ///< WAL truncations after compaction
-  /// Batch members answered by another member's execution: same-structure
-  /// queries in one QueryBatch call coalesce to a single execution fanned
-  /// out to all of them.
-  uint64_t batch_coalesced = 0;
   PlanCache::Stats cache;        ///< current session's cache (reset by swap)
   sql::ExecStats exec;           ///< summed over all queries and shards
   LatencySummary latency;
@@ -201,13 +190,6 @@ class QueryService {
   /// handle resolves after `ctx.done` returned.
   PendingQuery Submit(const std::string& query, QueryContext ctx = {});
 
-  /// Evaluates a batch of LPath queries, spreading them over the pool
-  /// workers; results are positionally aligned with `queries`. Each
-  /// structure not yet cached is prepared exactly once, however many
-  /// spellings of it the batch holds.
-  std::vector<Result<QueryResult>> QueryBatch(
-      const std::vector<std::string>& queries);
-
   /// Parses/compiles/optimizes `query` into the current session's plan
   /// cache (or returns the cached plan). Exposed for warmup and for plan
   /// introspection.
@@ -263,24 +245,11 @@ class QueryService {
   struct SourceRun;
 
   /// Plan lookup returning the shared cache entry (one plan per source);
-  /// the entry is always positive — errors surface as the
-  /// Status. Resolution order: text front map, then structural fingerprint
-  /// (respellings bind to the existing entry without a sql::Prepare), then
-  /// a full prepare published via Put.
+  /// the entry is always positive — errors surface as the Status. A miss
+  /// compiles and prepares the normalized text and publishes the outcome
+  /// (an error as a negative entry).
   Result<CachedPlanPtr> GetPlanIn(const Session& session,
                                   const std::string& query);
-  /// GetPlanIn's cache levels for normalized `key`, short of a prepare:
-  /// the text entry, or a structural match of the compiled text. Returns
-  /// OK(null) on a miss of both, with the compiled plan and its
-  /// fingerprint left in the out-params for PreparePlan.
-  Result<CachedPlanPtr> ProbePlan(const Session& session,
-                                  const std::string& key, ExecPlan* compiled,
-                                  uint64_t* fingerprint);
-  /// Prepares `compiled` and publishes it under `key` (an error is cached
-  /// as a negative entry). Returns the published bundle.
-  Result<CachedPlanPtr> PreparePlan(const Session& session,
-                                    const std::string& key,
-                                    uint64_t fingerprint, ExecPlan compiled);
   /// Parse + compile of normalized text.
   Result<ExecPlan> CompileQuery(const Session& session,
                                 const std::string& normalized);
@@ -291,19 +260,18 @@ class QueryService {
   /// the count (1, or 2 for a chain).
   static int CollectSources(const Session& session, const CachedPlan& planned,
                             SourceRun* out);
-  /// Executes `planned` on up to `max_workers` workers. The scheduler
-  /// carves row-balanced morsels over every live source, or — when the
-  /// query is serial (one worker, a tiny root estimate, or too little to
-  /// carve) — takes one whole-range morsel per source and drains them on
-  /// the calling thread with nothing posted to the pool. Each morsel's
-  /// hits are shifted into chain tid space, checked against the morsel's
-  /// range and delivered to `ctx.sink`; `ctx.cancel` is polled per morsel.
+  /// Executes `planned` on up to shards_per_query workers (all of the
+  /// pool when 0). The scheduler carves row-balanced morsels over every
+  /// live source, or — when the query is serial (one worker, a tiny root
+  /// estimate, or too little to carve) — takes one whole-range morsel per
+  /// source and drains them on the calling thread with nothing posted to
+  /// the pool. Each morsel's hits are shifted into chain tid space,
+  /// checked against the morsel's range and delivered to `ctx.sink`;
+  /// `ctx.cancel` is polled per morsel.
   Result<QueryResult> Run(const Session& session, const CachedPlan& planned,
-                          const QueryContext& ctx, int max_workers);
-  /// Records `count` completed queries sharing one wall-clock measurement
-  /// (QueryBatch's coalesced groups record every member at the group's
-  /// latency; count-1 of them tick the coalesced counter).
-  void RecordQueries(double seconds, bool error, int count, int coalesced);
+                          const QueryContext& ctx);
+  /// Records one completed query.
+  void RecordQuery(double seconds, bool error);
   /// Runs fn(0..items-1, worker) across the pool: helper tasks are bulk-
   /// posted for up to max_workers-1 other workers while the calling thread
   /// (worker 0) drains the same claim counter, and the call returns once
@@ -346,7 +314,6 @@ class QueryService {
   uint64_t wal_bytes_ = 0;
   uint64_t replayed_batches_ = 0;
   uint64_t checkpoints_ = 0;
-  uint64_t batch_coalesced_ = 0;
   sql::ExecStats exec_;
   double total_seconds_ = 0.0;
   std::vector<double> latency_ring_ms_;  // bounded reservoir of recent queries

@@ -135,85 +135,12 @@ struct Hasher {
   }
 };
 
-/// Lockstep equality under the Hasher's canonicalization. The alpha maps
-/// must form a consistent bijection between the two plans' escaping outer
-/// variables.
-struct Matcher {
-  std::unordered_map<int, int> a2b;
-  std::unordered_map<int, int> b2a;
-
-  bool Op(const Operand& x, const Operand& y, int depth) {
-    if (x.is_literal() != y.is_literal()) return false;
-    if (x.is_literal()) {
-      if (x.is_string != y.is_string) return false;
-      return x.is_string ? x.str == y.str : x.num == y.num;
-    }
-    if (x.col != y.col) return false;
-    if (x.is_outer() != y.is_outer()) return false;
-    if (x.is_outer() && depth == 0) {
-      const auto [fwd, fwd_new] = a2b.emplace(x.outer_index(), y.outer_index());
-      const auto [rev, rev_new] = b2a.emplace(y.outer_index(), x.outer_index());
-      (void)fwd_new;
-      (void)rev_new;
-      return fwd->second == y.outer_index() && rev->second == x.outer_index();
-    }
-    return x.var == y.var;
-  }
-
-  bool Cmp(const Conjunct& x, const Conjunct& y, int depth) {
-    // Orient both sides column-first before comparing.
-    const bool xm = x.lhs.is_literal() && !x.rhs.is_literal();
-    const bool ym = y.lhs.is_literal() && !y.rhs.is_literal();
-    const Operand& xl = xm ? x.rhs : x.lhs;
-    const Operand& xr = xm ? x.lhs : x.rhs;
-    const Operand& yl = ym ? y.rhs : y.lhs;
-    const Operand& yr = ym ? y.lhs : y.rhs;
-    const CmpOp xop = xm ? Mirror(x.op) : x.op;
-    const CmpOp yop = ym ? Mirror(y.op) : y.op;
-    return xop == yop && Op(xl, yl, depth) && Op(xr, yr, depth);
-  }
-
-  bool Filter(const BoolExpr& x, const BoolExpr& y, int depth) {
-    if (x.kind != y.kind) return false;
-    switch (x.kind) {
-      case BoolExpr::Kind::kAnd:
-      case BoolExpr::Kind::kOr:
-        return Filter(*x.lhs, *y.lhs, depth) && Filter(*x.rhs, *y.rhs, depth);
-      case BoolExpr::Kind::kNot:
-        return Filter(*x.lhs, *y.lhs, depth);
-      case BoolExpr::Kind::kCmp:
-        return Cmp(x.cmp, y.cmp, depth);
-      case BoolExpr::Kind::kExists:
-        return Plan(*x.sub, *y.sub, depth + 1);
-    }
-    return false;
-  }
-
-  bool Plan(const ExecPlan& x, const ExecPlan& y, int depth) {
-    if (x.num_vars != y.num_vars || x.output_var != y.output_var) return false;
-    if (x.conjuncts.size() != y.conjuncts.size()) return false;
-    if (x.filters.size() != y.filters.size()) return false;
-    for (size_t i = 0; i < x.conjuncts.size(); ++i) {
-      if (!Cmp(x.conjuncts[i], y.conjuncts[i], depth)) return false;
-    }
-    for (size_t i = 0; i < x.filters.size(); ++i) {
-      if (!Filter(*x.filters[i], *y.filters[i], depth)) return false;
-    }
-    return true;
-  }
-};
-
 }  // namespace
 
 uint64_t PlanFingerprint(const ExecPlan& plan) {
   Hasher hasher;
   hasher.Plan(plan, /*depth=*/0);
   return hasher.h;
-}
-
-bool PlanEquals(const ExecPlan& a, const ExecPlan& b) {
-  Matcher matcher;
-  return matcher.Plan(a, b, /*depth=*/0);
 }
 
 }  // namespace sql

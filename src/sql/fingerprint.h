@@ -22,14 +22,9 @@
 //     positional (the compiler assigns them deterministically) and hash
 //     as-is too.
 //
-// PlanEquals walks two plans in lockstep under the same canonicalization
-// — the collision check run before two fingerprint-equal plans are
-// allowed to share a cache entry. Fingerprint equality is necessary but
-// not sufficient; PlanEquals is the authority.
-//
-// The service fingerprints the *compiled* (unresolved) plan to key the
-// prepared-plan cache (corpus-independent, so the same value works across
-// corpora).
+// No serving path reads the fingerprint: the plan cache keys on query
+// text. Outside its own tests, its only caller is the perfbench harness,
+// which times it as `sql.fingerprint_us`.
 
 #ifndef LPATHDB_SQL_FINGERPRINT_H_
 #define LPATHDB_SQL_FINGERPRINT_H_
@@ -43,10 +38,6 @@ namespace sql {
 
 /// Deterministic structural hash of `plan` (see file comment).
 uint64_t PlanFingerprint(const ExecPlan& plan);
-
-/// Structural equality under the same canonicalization as PlanFingerprint.
-/// Used to verify fingerprint matches before sharing plans.
-bool PlanEquals(const ExecPlan& a, const ExecPlan& b);
 
 }  // namespace sql
 }  // namespace lpath

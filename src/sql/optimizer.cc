@@ -6,8 +6,6 @@
 #include <limits>
 #include <set>
 
-#include "sql/fingerprint.h"
-
 namespace lpath {
 namespace sql {
 
@@ -669,10 +667,6 @@ Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
                                               const NodeRelation& rel,
                                               const ExecOptions& options) {
   g_prepare_calls.fetch_add(1, std::memory_order_relaxed);
-  // Fingerprint the unresolved input: the value is corpus-independent, so
-  // a plan cache can recognize this structure no matter which relation the
-  // entry was prepared against.
-  const uint64_t fingerprint = PlanFingerprint(plan);
   ExecPlan resolved = plan.Clone();
   NormalizeOrientation(&resolved);
   bool always_empty = false;
@@ -681,7 +675,6 @@ Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
   LPATH_ASSIGN_OR_RETURN(
       std::unique_ptr<PreparedPlan> pp,
       PrepareResolved(std::move(resolved), rel, options, always_empty));
-  pp->fingerprint = fingerprint;
   NumberSlots(pp.get(), 0);
   return pp;
 }

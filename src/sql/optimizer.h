@@ -133,11 +133,6 @@ struct PreparedPlan {
   /// Prepared subplans, indexed by the kExists node's `sub_index`.
   std::vector<std::unique_ptr<PreparedPlan>> subs;
 
-  /// Structural fingerprint of the *input* (unresolved) plan — see
-  /// sql/fingerprint.h. Corpus-independent: the same value for this plan
-  /// prepared against any relation, so it can key a cross-source cache.
-  uint64_t fingerprint = 0;
-
   /// True if some conjunct can never hold (e.g. name = unknown tag).
   bool always_empty = false;
 
@@ -153,9 +148,8 @@ Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
                                               const NodeRelation& rel,
                                               const ExecOptions& options);
 
-/// Process-wide count of top-level Prepare() calls — a test witness for
-/// prepare dedup (N spellings of one structure must prepare once per
-/// relation source, not once per spelling).
+/// Process-wide count of top-level Prepare() calls — the witness that a
+/// plan cache hit skipped the prepare.
 uint64_t PrepareCallCount();
 
 }  // namespace sql

@@ -1,23 +1,25 @@
 // QueryService tests: the serving layer must be a drop-in equivalent of
 // the serial LPathEngine (differential over the fuzz corpus/generator with
-// a 4-thread pool), the plan cache must hit on normalized respellings and
-// evict LRU, and concurrent clients must see consistent results and stats.
-// This suite runs under ThreadSanitizer in CI.
+// a 4-thread pool, and over quoted respellings on base-only and base+delta
+// snapshots), the plan cache must hit on normalized respellings and evict
+// LRU, and concurrent clients must see consistent results and stats. This
+// suite runs under ThreadSanitizer in CI.
 
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "lpath/engines.h"
-#include "plan/exec_plan.h"
+#include "lpath/eval_nav.h"
 #include "service/plan_cache.h"
-#include "sql/fingerprint.h"
 #include "service/thread_pool.h"
 #include "test_util.h"
 
@@ -91,21 +93,8 @@ TEST(PlanCacheTest, NormalizePreservesQuotedLiterals) {
 
 namespace {
 
-// A structurally distinct plan per tag: one variable whose name column is
-// pinned to a tag-specific literal.
-ExecPlan TaggedPlan(const std::string& tag) {
-  ExecPlan plan;
-  plan.num_vars = 1;
-  Conjunct c;
-  c.lhs = Operand::Column(0, PlanCol::kName);
-  c.rhs = Operand::String(tag);
-  plan.conjuncts.push_back(std::move(c));
-  return plan;
-}
-
-service::CachedPlanPtr MakeBundle(uint64_t fp) {
+service::CachedPlanPtr MakeBundle() {
   auto entry = std::make_shared<service::CachedPlan>();
-  entry->fingerprint = fp;
   entry->plan = std::make_shared<sql::PreparedPlan>();
   return entry;
 }
@@ -114,11 +103,7 @@ service::CachedPlanPtr MakeBundle(uint64_t fp) {
 
 TEST(PlanCacheTest, LruEvictsOldestAndCountsStats) {
   service::PlanCache cache(2);
-  auto put = [&cache](const std::string& key) {
-    ExecPlan rep = TaggedPlan(key);
-    const uint64_t fp = sql::PlanFingerprint(rep);
-    cache.Put(key, fp, std::move(rep), MakeBundle(fp));
-  };
+  auto put = [&cache](const std::string& key) { cache.Put(key, MakeBundle()); };
   EXPECT_EQ(cache.Get("a"), nullptr);
   put("a");
   put("b");
@@ -133,7 +118,6 @@ TEST(PlanCacheTest, LruEvictsOldestAndCountsStats) {
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.size, 2u);
-  EXPECT_EQ(stats.texts, 2u);
   EXPECT_EQ(stats.capacity, 2u);
 }
 
@@ -149,49 +133,13 @@ TEST(PlanCacheTest, NegativeEntriesShareTheLruAndCountHits) {
   EXPECT_EQ(stats.negative_hits, 1u);
 }
 
-TEST(PlanCacheTest, RespellingsBindToOneEntryByFingerprint) {
-  service::PlanCache cache(4);
-  ExecPlan rep = TaggedPlan("NP");
-  const uint64_t fp = sql::PlanFingerprint(rep);
-  service::CachedPlanPtr first =
-      cache.Put("//NP", fp, rep.Clone(), MakeBundle(fp));
-
-  // A differently spelled query compiling to the same structure binds to
-  // the existing entry without a Put.
-  ExecPlan respelled = TaggedPlan("NP");
-  service::CachedPlanPtr shared =
-      cache.GetByFingerprint("//'NP'", fp, respelled);
-  ASSERT_NE(shared, nullptr);
-  EXPECT_EQ(shared.get(), first.get());
-  // And the spelling is now a front-map hit.
-  EXPECT_EQ(cache.Get("//'NP'").get(), first.get());
-
-  // A genuinely different plan presented under the same hash is refused.
-  ExecPlan other = TaggedPlan("VP");
-  EXPECT_EQ(cache.GetByFingerprint("//VP", fp, other), nullptr);
-
-  const service::PlanCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.shared_prepare_hits, 1u);
-  EXPECT_EQ(stats.fingerprint_collisions, 1u);
-  EXPECT_EQ(stats.size, 1u);
-  EXPECT_EQ(stats.texts, 2u);
-  EXPECT_EQ(stats.fingerprints, 1u);
-}
-
 TEST(PlanCacheTest, RacingPutAdoptsThePublishedEntry) {
   service::PlanCache cache(4);
-  ExecPlan rep = TaggedPlan("NP");
-  const uint64_t fp = sql::PlanFingerprint(rep);
-  service::CachedPlanPtr winner =
-      cache.Put("//NP", fp, rep.Clone(), MakeBundle(fp));
+  service::CachedPlanPtr winner = cache.Put("//NP", MakeBundle());
   // Same text raced: the loser's bundle is dropped, the winner returned.
-  service::CachedPlanPtr same_text =
-      cache.Put("//NP", fp, rep.Clone(), MakeBundle(fp));
+  service::CachedPlanPtr same_text = cache.Put("//NP", MakeBundle());
   EXPECT_EQ(same_text.get(), winner.get());
-  // Different text, structurally equal plan: bound to the same entry.
-  service::CachedPlanPtr same_structure =
-      cache.Put("//'NP'", fp, rep.Clone(), MakeBundle(fp));
-  EXPECT_EQ(same_structure.get(), winner.get());
+  EXPECT_EQ(cache.Get("//NP").get(), winner.get());
   EXPECT_EQ(cache.stats().size, 1u);
 }
 
@@ -228,24 +176,6 @@ TEST_F(QueryServiceTest, AgreesWithSerialEngineOnFuzzQueries) {
     ASSERT_TRUE(got.ok()) << q << " -> " << got.status();
     ASSERT_TRUE(expected.ok()) << q << " -> " << expected.status();
     ASSERT_EQ(got.value(), expected.value()) << "query: " << q;
-  }
-}
-
-TEST_F(QueryServiceTest, BatchMatchesIndividualQueries) {
-  service::QueryServiceOptions opts;
-  opts.threads = 4;
-  auto service = MakeService(opts);
-  Rng rng(1234);
-  QueryGen gen(&rng);
-  std::vector<std::string> queries;
-  for (int i = 0; i < 60; ++i) queries.push_back(gen.Query());
-  std::vector<Result<QueryResult>> batch = service->QueryBatch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResult> expected = serial_->Run(queries[i]);
-    ASSERT_TRUE(batch[i].ok()) << queries[i] << " -> " << batch[i].status();
-    ASSERT_TRUE(expected.ok());
-    ASSERT_EQ(batch[i].value(), expected.value()) << "query: " << queries[i];
   }
 }
 
@@ -383,7 +313,7 @@ TEST_F(QueryServiceTest, ConcurrentClientsSeeConsistentResults) {
   auto service = MakeService(opts);
 
   // A mixed workload per client: shared hot queries (cache hits) plus
-  // client-unique ones (misses + evictions), half through the batch path.
+  // client-unique ones (misses + evictions), some through Submit().
   constexpr int kClients = 6;
   std::vector<std::string> hot = {"//NP//_", "//VP[//N]", "//S",
                                   "//_[@lex='dog' or @lex='zzzunknown']"};
@@ -407,14 +337,12 @@ TEST_F(QueryServiceTest, ConcurrentClientsSeeConsistentResults) {
         // Unique query: exercises miss + prepare + eviction concurrently.
         (void)service->Query(gen.Query());
         if (round % 5 == 0) {
-          std::vector<Result<QueryResult>> batch =
-              service->QueryBatch({hot[0], hot[1]});
-          if (!(batch[0].ok() && batch[0].value() == expected[0])) {
-            failures.fetch_add(1);
-          }
-          if (!(batch[1].ok() && batch[1].value() == expected[1])) {
-            failures.fetch_add(1);
-          }
+          service::PendingQuery p0 = service->Submit(hot[0]);
+          service::PendingQuery p1 = service->Submit(hot[1]);
+          Result<QueryResult> r0 = p0.Get();
+          Result<QueryResult> r1 = p1.Get();
+          if (!(r0.ok() && r0.value() == expected[0])) failures.fetch_add(1);
+          if (!(r1.ok() && r1.value() == expected[1])) failures.fetch_add(1);
         }
         (void)service->Stats();  // stats reads race with recording
       }
@@ -425,6 +353,117 @@ TEST_F(QueryServiceTest, ConcurrentClientsSeeConsistentResults) {
   const service::ServiceStats stats = service->Stats();
   EXPECT_GT(stats.queries, static_cast<uint64_t>(kClients * 50));
   EXPECT_GT(stats.cache.evictions, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: quoted respellings answer exactly like their originals
+
+/// Respells `q` by single-quoting every maximal letter run that starts
+/// uppercase. The fuzz grammar (test_util.h) draws tags from a capitalized
+/// alphabet and everything else (axes, keywords, @lex words) lowercase, so
+/// this quotes exactly the node tests — a different normalized text that
+/// must answer like the original.
+std::string QuoteTags(const std::string& q) {
+  std::string out;
+  size_t i = 0;
+  while (i < q.size()) {
+    const unsigned char c = q[i];
+    if (std::isupper(c)) {
+      size_t j = i;
+      while (j < q.size() &&
+             std::isalpha(static_cast<unsigned char>(q[j]))) {
+        ++j;
+      }
+      out += '\'';
+      out.append(q, i, j - i);
+      out += '\'';
+      i = j;
+    } else {
+      out += q[i++];
+    }
+  }
+  return out;
+}
+
+class RespellingDifferentialTest : public ::testing::Test {
+ protected:
+  /// Room for every text of a 150-query run: the cache never evicts, so
+  /// its size counts the distinct texts it prepared.
+  static service::QueryServiceOptions Options() {
+    service::QueryServiceOptions opts;
+    opts.plan_cache_capacity = 1024;
+    return opts;
+  }
+
+  /// Runs `queries` through `service` twice — original spelling, then the
+  /// quoted respelling — checks both against the navigational `reference`,
+  /// and checks that each distinct normalized text is one cache entry.
+  static void RunDifferential(service::QueryService& service,
+                              const NavigationalEngine& reference,
+                              const std::vector<std::string>& queries) {
+    std::set<std::string> texts;
+    for (const std::string& q : queries) {
+      Result<QueryResult> expected = reference.Run(q);
+      ASSERT_TRUE(expected.ok()) << q << " -> " << expected.status();
+      Result<QueryResult> original = service.Query(q);
+      ASSERT_TRUE(original.ok()) << q << " -> " << original.status();
+      ASSERT_EQ(original.value(), expected.value()) << q;
+      const std::string respelled = QuoteTags(q);
+      Result<QueryResult> quoted = service.Query(respelled);
+      ASSERT_TRUE(quoted.ok()) << respelled << " -> " << quoted.status();
+      ASSERT_EQ(quoted.value(), expected.value()) << respelled;
+      texts.insert(service::NormalizeQueryText(q));
+      texts.insert(service::NormalizeQueryText(respelled));
+    }
+    const service::ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.cache.size, texts.size());
+    EXPECT_EQ(stats.cache.misses, texts.size());
+    EXPECT_EQ(stats.cache.hits, 2 * queries.size() - texts.size());
+    EXPECT_EQ(stats.cache.evictions, 0u);
+  }
+
+  static std::vector<std::string> FuzzQueries(uint64_t seed, int n) {
+    Rng rng(seed);
+    QueryGen gen(&rng);
+    std::vector<std::string> queries;
+    for (int i = 0; i < n; ++i) queries.push_back(gen.Query());
+    return queries;
+  }
+};
+
+TEST_F(RespellingDifferentialTest, BaseOnly150Queries) {
+  Result<SnapshotPtr> snap =
+      CorpusSnapshot::Build(testing::RandomCorpus(2026, 24));
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  service::QueryServiceOptions opts = Options();
+  opts.threads = 4;
+  opts.adaptive_serial_rows = 0;  // exercise the sharded path too
+  service::QueryService service(*snap, opts);
+  NavigationalEngine reference((*snap)->corpus());
+  RunDifferential(service, reference, FuzzQueries(808, 150));
+}
+
+TEST_F(RespellingDifferentialTest, BaseDeltaChain150Queries) {
+  // The chain prepares every text twice (base + delta dictionaries); the
+  // rebuilt-combined corpus is the ground truth.
+  Corpus base = testing::RandomCorpus(17, 18);
+  Corpus combined;
+  combined.ResetInterner(base.interner().Clone());
+  combined.AppendFrom(base);
+  combined.AppendFrom(testing::RandomCorpus(18, 9));
+  Result<SnapshotPtr> base_snap = CorpusSnapshot::Build(std::move(base));
+  ASSERT_TRUE(base_snap.ok()) << base_snap.status().ToString();
+  Result<SnapshotPtr> chain =
+      (*base_snap)->Append(testing::RandomCorpus(18, 9));
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  ASSERT_TRUE((*chain)->has_delta());
+  Result<SnapshotPtr> reference_snap =
+      CorpusSnapshot::Build(std::move(combined));
+  ASSERT_TRUE(reference_snap.ok()) << reference_snap.status().ToString();
+
+  service::QueryService service(*chain, Options());
+  NavigationalEngine reference((*reference_snap)->corpus());
+  RunDifferential(service, reference, FuzzQueries(909, 150));
 }
 
 }  // namespace
