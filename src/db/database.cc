@@ -43,10 +43,21 @@ std::string WalDirFor(const std::string& wal_dir, const std::string& name) {
   return out;
 }
 
+/// Whether two (weak or shared) entry pointers share one owner: identity
+/// that still holds once the entry has expired.
+template <typename A, typename B>
+bool SameOwner(const A& a, const B& b) {
+  return !a.owner_before(b) && !b.owner_before(a);
+}
+
+Status NotAttached(const std::string& name) {
+  return Status::NotFound("corpus not attached: " + name);
+}
+
 /// A query routed to a name that is not attached. The context's done hook
 /// hears about it too, so it fires exactly once whatever the outcome.
 Status NotAttached(const std::string& name, const service::QueryContext& ctx) {
-  Status status = Status::NotFound("corpus not attached: " + name);
+  Status status = NotAttached(name);
   if (ctx.done) ctx.done(status);
   return status;
 }
@@ -97,7 +108,7 @@ Status Database::Attach(const std::string& name, SnapshotPtr snapshot) {
   // re-enter through a single Append, so recovery is O(total replayed),
   // not O(batches * delta). A corrupt (non-torn) log is a clean error: the
   // corpus refuses to attach rather than silently serve a lossy middle.
-  std::shared_ptr<Wal> wal;
+  std::unique_ptr<Wal> wal;
   uint64_t replayed_batches = 0;
   if (!wal_dir.empty()) {
     LPATH_ASSIGN_OR_RETURN(wal, Wal::Open(WalDirFor(wal_dir, name),
@@ -119,6 +130,7 @@ Status Database::Attach(const std::string& name, SnapshotPtr snapshot) {
       LPATH_ASSIGN_OR_RETURN(snapshot, snapshot->Append(pending));
     }
   }
+  auto entry = std::make_shared<Entry>(name, std::move(wal));
   for (;;) {
     // The service (and its thread pool) is built outside the catalog lock;
     // the insert below re-checks both a racing attach of the same name and
@@ -133,10 +145,9 @@ Status Database::Attach(const std::string& name, SnapshotPtr snapshot) {
       if (catalog_.count(name) > 0) {
         exists = true;
       } else if (options_version_ == seen_version) {
-        catalog_.emplace(name, created);
-        attachments_[name] = Attachment{++last_generation_, 0, {}};
-        if (wal != nullptr) wal_[name] = wal;
         if (replayed_batches > 0) created->NoteReplay(replayed_batches);
+        entry->service = std::move(created);
+        catalog_.emplace(name, std::move(entry));
         return Status::OK();
       } else {
         service_options = options_.service;
@@ -144,7 +155,8 @@ Status Database::Attach(const std::string& name, SnapshotPtr snapshot) {
       }
     }
     // The rejected service (an idle pool) winds down here, unlocked; on a
-    // version change the loop rebuilds with the fresh options.
+    // version change the loop rebuilds with the fresh options. A refused
+    // entry's log handle closes on return, unlocked too.
     created.reset();
     if (exists) {
       return Status::AlreadyExists("corpus already attached: " + name);
@@ -194,9 +206,7 @@ Status Database::OpenImage(const std::string& name, const std::string& path) {
 
 Status Database::Save(const std::string& name, const std::string& path) const {
   SnapshotPtr snap = snapshot(name);
-  if (snap == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
-  }
+  if (snap == nullptr) return NotAttached(name);
   return snap->Save(path);
 }
 
@@ -208,14 +218,12 @@ Status Database::Swap(const std::string& name, SnapshotPtr snapshot) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = catalog_.find(name);
-    if (it == catalog_.end()) {
-      return Status::NotFound("corpus not attached: " + name);
-    }
+    if (it == catalog_.end()) return NotAttached(name);
     // Published under the catalog lock (a session build is a couple of
     // small allocations), so a concurrent SetServiceOptions rebuild can
     // never install a service that misses this snapshot. Queries in
     // flight are unaffected — each holds its own session reference.
-    retired = it->second->UpdateSnapshot(std::move(snapshot));
+    retired = it->second->service->UpdateSnapshot(std::move(snapshot));
   }
   // `retired` drops here, unlocked: if it was the last reference to the
   // old session, the corpus + relation teardown must not stall routing.
@@ -223,32 +231,17 @@ Status Database::Swap(const std::string& name, SnapshotPtr snapshot) {
 }
 
 Status Database::Reload(const std::string& name) {
+  LPATH_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(name));
   for (;;) {
-    SnapshotPtr current = snapshot(name);
-    if (current == nullptr) {
-      return Status::NotFound("corpus not attached: " + name);
-    }
+    LPATH_ASSIGN_OR_RETURN(SnapshotPtr current, CurrentSnapshot(*entry));
     // The expensive rebuild runs unlocked, under the snapshot's own
     // options: a corpus attached with a non-default labeling keeps it
     // across reloads.
     LPATH_ASSIGN_OR_RETURN(SnapshotPtr rebuilt, current->Rebuild());
-    std::shared_ptr<const void> retired;
-    bool published = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = catalog_.find(name);
-      if (it == catalog_.end()) {
-        return Status::NotFound("corpus not attached: " + name);
-      }
-      // Publish only if the snapshot we rebuilt from is still current; a
-      // Swap that landed during the (long) rebuild must not be silently
-      // rolled back by a rebuild of its predecessor. On conflict, loop
-      // and rebuild the newer snapshot instead.
-      if (it->second->snapshot() == current) {
-        retired = it->second->UpdateSnapshot(std::move(rebuilt));
-        published = true;
-      }
-    }
+    // On conflict (a Swap landed during the long rebuild), rebuild the
+    // newer snapshot instead.
+    LPATH_ASSIGN_OR_RETURN(bool published,
+                           Publish(*entry, current, std::move(rebuilt)));
     if (published) return Status::OK();
   }
 }
@@ -257,20 +250,17 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
   if (trees.empty()) {
     return Status::InvalidArgument("Database::Ingest: empty tree batch");
   }
-  std::shared_ptr<std::mutex> ingest_mu = IngestMutexFor(name);
-  if (ingest_mu == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
-  }
+  LPATH_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(name));
   // One append to this corpus at a time: the read-append-publish sequence
   // below is not atomic on its own, and two concurrent appends reading the
   // same chain would each publish a chain missing the other's trees.
-  std::lock_guard<std::mutex> ingest_lock(*ingest_mu);
+  std::lock_guard<std::mutex> ingest_lock(entry->ingest_mu);
   // Durable mode: the batch commits to the log (write + fsync) *before*
   // anything publishes, so success means "on disk", and any WAL failure
   // means the client never saw the trees — no publish, clean error. The
   // payload is the batch's bracketed text, serialized once up front; the
   // publish retry loop below never re-appends to the log.
-  std::shared_ptr<Wal> wal = WalFor(name);
+  Wal* const wal = entry->wal.get();
   uint64_t lsn = 0;
   uint64_t payload_bytes = 0;
   if (wal != nullptr) {
@@ -278,142 +268,86 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
     payload_bytes = payload.size();
     LPATH_ASSIGN_OR_RETURN(lsn, wal->Append(payload));
   }
-  // Any failure after the WAL commit but before a publish: the record was
-  // never acknowledged, so it must not resurrect on replay. Rollback
-  // truncates it (best effort — under the ingest lock it is still the
-  // log's latest record).
+  // Any failure after the WAL commit but before a publish — a Detach
+  // meanwhile included: the record was never acknowledged, so it must not
+  // resurrect on replay. Rollback truncates it (best effort — under the
+  // ingest lock it is still the log's latest record).
   const auto unpublished = [&](const Status& status) {
     if (wal != nullptr && lsn != 0) (void)wal->Rollback(lsn);
     return status;
   };
   SnapshotPtr appended;
-  uint64_t generation = 0;
+  int32_t threshold = 0;
   for (;;) {
-    SnapshotPtr current = snapshot(name);
-    if (current == nullptr) {
-      return unpublished(Status::NotFound("corpus not attached: " + name));
-    }
+    Result<SnapshotPtr> current = CurrentSnapshot(*entry);
+    if (!current.ok()) return unpublished(current.status());
     // O(delta): shares the base relation, rebuilds only the delta arena.
-    Result<SnapshotPtr> appended_or = current->Append(trees);
+    Result<SnapshotPtr> appended_or = (*current)->Append(trees);
     if (!appended_or.ok()) return unpublished(appended_or.status());
     appended = std::move(appended_or).value();
-    bool published = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = catalog_.find(name);
-      if (it == catalog_.end()) {
-        return unpublished(
-            Status::NotFound("corpus not attached: " + name));
-      }
-      // Publish only onto the chain we appended to: a Swap/Reload that
-      // landed meanwhile must not be silently rolled back. On conflict,
-      // re-append onto the newer snapshot (the ingest lock guarantees the
-      // conflict was not another ingest).
-      if (it->second->snapshot() == current) {
-        (void)it->second->UpdateSnapshot(appended);
-        it->second->NoteIngest();
-        if (wal != nullptr) it->second->NoteWalAppend(payload_bytes);
-        generation = attachments_.at(name).generation;
-        published = true;
-      }
-    }
-    if (published) break;
-  }
-  int32_t threshold = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threshold = options_.compact_delta_trees;
+    // On conflict, re-append onto the newer snapshot (the ingest lock
+    // guarantees the conflict was not another ingest).
+    Result<bool> published = Publish(*entry, *current, appended, [&] {
+      entry->service->NoteIngest();
+      if (wal != nullptr) entry->service->NoteWalAppend(payload_bytes);
+      threshold = options_.compact_delta_trees;
+    });
+    if (!published.ok()) return unpublished(published.status());
+    if (*published) break;
   }
   if (threshold > 0 && appended->delta_tree_count() >= threshold) {
-    ScheduleCompaction(name, generation);
+    ScheduleCompaction(entry);
   }
   return Status::OK();
 }
 
 Status Database::Compact(const std::string& name) {
-  uint64_t generation = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = attachments_.find(name);
-    if (it == attachments_.end()) {
-      return Status::NotFound("corpus not attached: " + name);
-    }
-    generation = it->second.generation;
-  }
-  return CompactInternal(name, generation);
+  LPATH_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(name));
+  return CompactInternal(*entry);
 }
 
-Status Database::CompactInternal(const std::string& name,
-                                 uint64_t generation) {
-  const Status status = CompactOnce(name, generation);
+Status Database::CompactInternal(Entry& entry) {
+  const Status status = CompactOnce(entry);
   // Record the outcome for List()/monitoring — from both entry points, so
   // a synchronous Compact() failure is just as visible as a background
   // one. Failures accumulate; a clean compaction clears only the error
   // text (the count keeps witnessing that something went wrong before).
-  // Only the attachment the compaction ran against is written: once it
-  // is detached its health is gone, and a later attachment under the same
-  // name starts clean.
+  // A detached entry's health is never listed again, and a later
+  // attachment under the same name is another entry that starts clean.
   std::lock_guard<std::mutex> lock(mu_);
-  if (Attachment* attachment = AttachmentOf(name, generation)) {
-    if (status.ok()) {
-      attachment->last_compaction_error.clear();
-    } else {
-      attachment->compaction_failures += 1;
-      attachment->last_compaction_error = status.message();
-    }
+  if (status.ok()) {
+    entry.last_compaction_error.clear();
+  } else {
+    entry.compaction_failures += 1;
+    entry.last_compaction_error = status.message();
   }
   return status;
 }
 
-Status Database::CompactOnce(const std::string& name, uint64_t generation) {
-  std::shared_ptr<std::mutex> ingest_mu = IngestMutexFor(name);
-  if (ingest_mu == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
-  }
+Status Database::CompactOnce(Entry& entry) {
   // Holding the ingest lock across the merge means no append can extend
   // the chain we are folding — so "publish if still current" below only
   // ever loses to an explicit Swap/Reload, in which case the compacted
   // snapshot is stale and dropping it is correct. It also freezes the WAL
   // position: every committed record is ≤ last_lsn() here, so the stamp
   // written into the image is exactly what the merged relation covers.
-  std::lock_guard<std::mutex> ingest_lock(*ingest_mu);
-  SnapshotPtr current;
-  {
-    // The generation check and the snapshot read are one step, so the
-    // chain compacted below belongs to the attachment the task names.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (AttachmentOf(name, generation) == nullptr) {
-      return Status::NotFound("corpus not attached: " + name);
-    }
-    current = catalog_.at(name)->snapshot();
-  }
+  std::lock_guard<std::mutex> ingest_lock(entry.ingest_mu);
+  LPATH_ASSIGN_OR_RETURN(SnapshotPtr current, CurrentSnapshot(entry));
   if (!current->has_delta()) return Status::OK();
-  std::shared_ptr<Wal> wal = WalFor(name);
   ImageSaveOptions save_options;
-  if (wal != nullptr) save_options.wal_lsn = wal->last_lsn();
+  if (entry.wal != nullptr) save_options.wal_lsn = entry.wal->last_lsn();
   LPATH_ASSIGN_OR_RETURN(SnapshotPtr compacted,
                          current->Compact(nullptr, save_options));
   const bool image_backed = compacted->image_backed();
-  bool published = false;
   std::shared_ptr<service::QueryService> service;
-  std::shared_ptr<const void> retired;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Attachment* attachment = AttachmentOf(name, generation);
-    if (attachment == nullptr) {
-      return Status::NotFound("corpus not attached: " + name);
-    }
-    auto it = catalog_.find(name);
-    if (it->second->snapshot() == current) {
-      service = it->second;
-      retired = it->second->UpdateSnapshot(std::move(compacted));
-      it->second->NoteCompaction();
-      // Cleared with the publication, in one critical section: List()
-      // cannot see the delta gone and the last failure still standing.
-      attachment->last_compaction_error.clear();
-      published = true;
-    }
-  }
+  LPATH_ASSIGN_OR_RETURN(
+      bool published, Publish(entry, current, std::move(compacted), [&] {
+        service = entry.service;
+        service->NoteCompaction();
+        // Cleared with the publication, in one critical section: List()
+        // cannot see the delta gone and the last failure still standing.
+        entry.last_compaction_error.clear();
+      }));
   // Checkpoint only after the compacted snapshot is both durable (the
   // rewritten image carries the stamp) and published: everything the log
   // held up to the stamp now lives in the image, so those segments can
@@ -421,26 +355,22 @@ Status Database::CompactOnce(const std::string& name, uint64_t generation) {
   // persistent, and recovery needs the full log over the original file. A
   // failed checkpoint is reported (and retried by the next compaction)
   // but loses nothing: replay filters by the image's stamp either way.
-  if (published && image_backed && wal != nullptr) {
-    LPATH_RETURN_IF_ERROR(wal->Checkpoint(save_options.wal_lsn));
+  if (published && image_backed && entry.wal != nullptr) {
+    LPATH_RETURN_IF_ERROR(entry.wal->Checkpoint(save_options.wal_lsn));
     service->NoteCheckpoint();
   }
-  // `retired` (possibly the last reference to the pre-compaction chain)
-  // drops here, unlocked.
   return Status::OK();
 }
 
-void Database::ScheduleCompaction(const std::string& name,
-                                  uint64_t generation) {
+void Database::ScheduleCompaction(const std::shared_ptr<Entry>& entry) {
   std::lock_guard<std::mutex> lock(compact_mu_);
   if (compact_stop_) return;
   const bool queued = std::any_of(
-      compact_queue_.begin(), compact_queue_.end(), [&](const CompactTask& t) {
-        return t.name == name && t.generation == generation;
-      });
+      compact_queue_.begin(), compact_queue_.end(),
+      [&](const CompactTask& t) { return SameOwner(t.entry, entry); });
   if (!queued) {
     compact_queue_.push_back(
-        CompactTask{name, generation, 0, std::chrono::steady_clock::now()});
+        CompactTask{entry, 0, std::chrono::steady_clock::now()});
   }
   if (!compactor_.joinable()) {
     compactor_ = std::thread([this] { CompactorLoop(); });
@@ -469,121 +399,88 @@ void Database::CompactorLoop() {
     CompactTask task = std::move(*next);
     compact_queue_.erase(next);
     lock.unlock();
-    const Status status = CompactInternal(task.name, task.generation);
+    std::string name;
+    bool failed = false;
+    if (std::shared_ptr<Entry> entry = task.entry.lock()) {
+      name = entry->name;
+      failed = !CompactInternal(*entry).ok();
+    }
+    // `entry` dropped above, before compact_mu_ is re-taken: it may have
+    // been the last reference to a detached corpus.
     lock.lock();
-    if (status.ok() || compact_stop_ ||
-        task.attempt + 1 >= kMaxCompactAttempts) {
+    if (!failed || compact_stop_ || task.attempt + 1 >= kMaxCompactAttempts) {
       continue;
     }
     // Transient failures retry with doubling backoff up to the attempt cap
-    // (already counted in the attachment's health by CompactInternal),
-    // but only while the attachment the task ran against is current.
-    // Checked under compact_mu_, which Detach takes after unlisting the
-    // name, so a purge can never be undone by this re-queue.
+    // (already counted in the entry's health by CompactInternal), but only
+    // while the entry is still attached. Checked under compact_mu_, which
+    // Detach takes after unlisting the entry, so a purge can never be
+    // undone by this re-queue.
     bool current = false;
     {
       std::lock_guard<std::mutex> catalog_lock(mu_);
-      current = AttachmentOf(task.name, task.generation) != nullptr;
+      auto it = catalog_.find(name);
+      current = it != catalog_.end() && SameOwner(it->second, task.entry);
     }
     const bool queued = std::any_of(
         compact_queue_.begin(), compact_queue_.end(),
-        [&](const CompactTask& t) {
-          return t.name == task.name && t.generation == task.generation;
-        });
+        [&](const CompactTask& t) { return SameOwner(t.entry, task.entry); });
     if (current && !queued) {
       compact_queue_.push_back(CompactTask{
-          std::move(task.name), task.generation, task.attempt + 1,
+          std::move(task.entry), task.attempt + 1,
           std::chrono::steady_clock::now() + CompactBackoff(task.attempt)});
     }
   }
 }
 
-Database::Attachment* Database::AttachmentOf(const std::string& name,
-                                             uint64_t generation) {
-  auto it = attachments_.find(name);
-  return it != attachments_.end() && it->second.generation == generation
-             ? &it->second
-             : nullptr;
-}
-
-std::shared_ptr<std::mutex> Database::IngestMutexFor(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (catalog_.count(name) == 0) return nullptr;
-  std::shared_ptr<std::mutex>& slot = ingest_mu_[name];
-  if (slot == nullptr) slot = std::make_shared<std::mutex>();
-  return slot;
-}
-
-std::shared_ptr<Wal> Database::WalFor(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = wal_.find(name);
-  return it == wal_.end() ? nullptr : it->second;
-}
-
 Status Database::Detach(const std::string& name) {
-  std::shared_ptr<service::QueryService> victim;
-  uint64_t generation = 0;
+  std::shared_ptr<Entry> victim;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = catalog_.find(name);
-    if (it == catalog_.end()) {
-      return Status::NotFound("corpus not attached: " + name);
-    }
+    if (it == catalog_.end()) return NotAttached(name);
     victim = std::move(it->second);
     catalog_.erase(it);
-    // The lock entry goes too (an in-flight Ingest holding the shared_ptr
-    // keeps its mutex alive; it will fail NotFound at the publish step —
-    // and roll its WAL record back through its own shared handle).
-    ingest_mu_.erase(name);
-    wal_.erase(name);
-    // The attachment's health goes with it; a compaction still running
-    // against it finds its generation gone and records nothing.
-    auto attachment = attachments_.find(name);
-    generation = attachment->second.generation;
-    attachments_.erase(attachment);
   }
   {
-    // Purge the attachment's queued compactions: they would only churn to
+    // Purge the entry's queued compactions: they would only churn to
     // NotFound. Taken after the catalog lock is released (lock order:
     // compact_mu_ before mu_); a later attachment's tasks stay queued.
     std::lock_guard<std::mutex> lock(compact_mu_);
     compact_queue_.erase(
-        std::remove_if(compact_queue_.begin(), compact_queue_.end(),
-                       [&](const CompactTask& t) {
-                         return t.name == name && t.generation == generation;
-                       }),
+        std::remove_if(
+            compact_queue_.begin(), compact_queue_.end(),
+            [&](const CompactTask& t) { return SameOwner(t.entry, victim); }),
         compact_queue_.end());
   }
-  // `victim` drops here, outside the lock: if this was the last reference
-  // the pool joins now, without stalling the catalog.
+  // `victim` drops here, outside both locks: if this was the last
+  // reference the pool joins now, without stalling the catalog. An
+  // in-flight Ingest or compaction still holding the entry fails NotFound
+  // at its publish step (an Ingest rolls its WAL record back through the
+  // entry's own log handle).
   return Status::OK();
 }
 
 void Database::SetServiceOptions(const service::QueryServiceOptions& options) {
-  std::vector<std::string> names;
+  std::vector<std::shared_ptr<Entry>> entries;
   uint64_t my_version = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     options_.service = options;
     options_version_ += 1;
     my_version = options_version_;
-    names.reserve(catalog_.size());
-    for (const auto& [name, service] : catalog_) names.push_back(name);
+    entries.reserve(catalog_.size());
+    for (const auto& [name, entry] : catalog_) entries.push_back(entry);
   }
   // Old services are parked here and wind down (drain + pool join) after
   // the last unlock, so slow in-flight queries never stall the catalog.
   std::vector<std::shared_ptr<service::QueryService>> retired;
-  for (const std::string& name : names) {
-    SnapshotPtr snap;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = catalog_.find(name);
-      if (it == catalog_.end()) continue;  // detached meanwhile
-      snap = it->second->snapshot();
-    }
+  for (const std::shared_ptr<Entry>& entry : entries) {
+    Result<SnapshotPtr> snap = CurrentSnapshot(*entry);
+    if (!snap.ok()) continue;  // detached meanwhile
     // Slow: spawns the replacement pool. Runs unlocked, so Swap/Query on
     // every corpus proceed meanwhile.
-    auto rebuilt = std::make_shared<service::QueryService>(snap, options);
+    auto rebuilt = std::make_shared<service::QueryService>(*snap, options);
     std::lock_guard<std::mutex> lock(mu_);
     if (options_version_ != my_version) {
       // A later SetServiceOptions superseded this one mid-rebuild; it
@@ -592,8 +489,7 @@ void Database::SetServiceOptions(const service::QueryServiceOptions& options) {
       retired.push_back(std::move(rebuilt));
       break;
     }
-    auto it = catalog_.find(name);
-    if (it == catalog_.end()) {
+    if (!IsCurrent(*entry)) {
       retired.push_back(std::move(rebuilt));  // detached while rebuilding
       continue;
     }
@@ -602,9 +498,9 @@ void Database::SetServiceOptions(const service::QueryServiceOptions& options) {
     // also holds mu_, so the entry cannot change under us again. The
     // replaced session is the replacement's freshly built one — its
     // snapshot is still referenced by `snap`, so dropping it here is cheap.
-    SnapshotPtr current = it->second->snapshot();
-    if (current != snap) (void)rebuilt->UpdateSnapshot(std::move(current));
-    retired.push_back(std::exchange(it->second, std::move(rebuilt)));
+    SnapshotPtr current = entry->service->snapshot();
+    if (current != *snap) (void)rebuilt->UpdateSnapshot(std::move(current));
+    retired.push_back(std::exchange(entry->service, std::move(rebuilt)));
   }
 }
 
@@ -623,7 +519,7 @@ std::vector<std::string> Database::CorpusNames() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     names.reserve(catalog_.size());
-    for (const auto& [name, service] : catalog_) names.push_back(name);
+    for (const auto& [name, entry] : catalog_) names.push_back(name);
   }
   std::sort(names.begin(), names.end());
   return names;
@@ -631,11 +527,11 @@ std::vector<std::string> Database::CorpusNames() const {
 
 std::vector<CorpusInfo> Database::List() const {
   struct Row {
-    std::string name;
+    std::shared_ptr<const Entry> entry;  // its name and log are fixed
     std::shared_ptr<service::QueryService> service;
-    std::shared_ptr<Wal> wal;
     SnapshotPtr snapshot;
-    Attachment attachment;
+    uint64_t compaction_failures = 0;
+    std::string last_compaction_error;
   };
   std::vector<Row> rows;
   {
@@ -644,21 +540,21 @@ std::vector<CorpusInfo> Database::List() const {
     // never shows one without the other.
     std::lock_guard<std::mutex> lock(mu_);
     rows.reserve(catalog_.size());
-    for (const auto& [name, service] : catalog_) {
-      auto wal_it = wal_.find(name);
-      rows.push_back(Row{name, service,
-                         wal_it == wal_.end() ? nullptr : wal_it->second,
-                         service->snapshot(), attachments_.at(name)});
+    for (const auto& [name, entry] : catalog_) {
+      rows.push_back(Row{entry, entry->service, entry->service->snapshot(),
+                         entry->compaction_failures,
+                         entry->last_compaction_error});
     }
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.name < b.name; });
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a.entry->name < b.entry->name;
+  });
   std::vector<CorpusInfo> out;
   out.reserve(rows.size());
-  for (const Row& row : rows) {
+  for (Row& row : rows) {
     const SnapshotPtr& snap = row.snapshot;
     CorpusInfo info;
-    info.name = row.name;
+    info.name = row.entry->name;
     info.snapshot_id = snap->id();
     // Counted from the relations, not the corpus: an image-backed snapshot
     // serves mapped columns over a tree-less corpus. Chain-wide — the
@@ -671,14 +567,14 @@ std::vector<CorpusInfo> Database::List() const {
     }
     info.delta_trees = static_cast<size_t>(snap->delta_tree_count());
     info.threads = row.service->threads();
-    if (row.wal != nullptr) {
-      const WalStats wal_stats = row.wal->stats();
+    if (row.entry->wal != nullptr) {
+      const WalStats wal_stats = row.entry->wal->stats();
       info.wal = true;
       info.wal_last_lsn = wal_stats.last_lsn;
       info.wal_segments = wal_stats.segments;
     }
-    info.compaction_failures = row.attachment.compaction_failures;
-    info.last_compaction_error = row.attachment.last_compaction_error;
+    info.compaction_failures = row.compaction_failures;
+    info.last_compaction_error = std::move(row.last_compaction_error);
     out.push_back(std::move(info));
   }
   return out;
@@ -710,11 +606,48 @@ Result<service::PendingQuery> Database::Submit(const std::string& name,
   return service->Submit(query, std::move(ctx));
 }
 
+Result<std::shared_ptr<Database::Entry>> Database::Find(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = catalog_.find(name);
+  if (it == catalog_.end()) return NotAttached(name);
+  return it->second;
+}
+
 std::shared_ptr<service::QueryService> Database::Resolve(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = catalog_.find(name);
-  return it == catalog_.end() ? nullptr : it->second;
+  return it == catalog_.end() ? nullptr : it->second->service;
+}
+
+bool Database::IsCurrent(const Entry& entry) const {
+  auto it = catalog_.find(entry.name);
+  return it != catalog_.end() && it->second.get() == &entry;
+}
+
+Result<SnapshotPtr> Database::CurrentSnapshot(const Entry& entry) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!IsCurrent(entry)) return NotAttached(entry.name);
+  return entry.service->snapshot();
+}
+
+Result<bool> Database::Publish(Entry& entry, const SnapshotPtr& from,
+                               SnapshotPtr next,
+                               const std::function<void()>& also) {
+  std::shared_ptr<const void> retired;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!IsCurrent(entry)) return NotAttached(entry.name);
+    // Publish only onto the snapshot the caller worked from: a Swap or
+    // Reload that landed meanwhile must not be silently rolled back.
+    if (entry.service->snapshot() != from) return false;
+    retired = entry.service->UpdateSnapshot(std::move(next));
+    if (also) also();
+  }
+  // `retired` drops here, unlocked: if it was the last reference to the
+  // old session, the corpus + relation teardown must not stall routing.
+  return true;
 }
 
 }  // namespace db

@@ -6,14 +6,20 @@
 // downtime, and serving clients synchronously, asynchronously or streaming.
 //
 // Concurrency model:
-//   - One mutex guards the catalog map shape and the options, taken only
-//     for name resolution, attach/detach bookkeeping and snapshot
-//     publication — never across query execution, pool construction, pool
-//     join, or relation rebuild.
+//   - The catalog maps each name to one shared entry per attachment: its
+//     service, its WAL handle, its ingest lock and its compaction health.
+//     Ingest, Reload and compaction resolve the entry once and work only
+//     on it; each publication re-checks under the catalog mutex that the
+//     entry is still the name's, so work that outlives a Detach can never
+//     land in a later attachment under the same name.
+//   - One mutex guards the catalog map, every entry's service and health,
+//     and the options, taken only for name resolution, attach/detach
+//     bookkeeping and snapshot publication — never across query
+//     execution, pool construction, pool join, or relation rebuild.
 //   - Swap(name, snapshot) publishes through the service's session pointer
 //     *while holding the catalog mutex* (a session build is a handful of
 //     small allocations), which serializes publication against
-//     SetServiceOptions' catalog replacement — a swap can never be
+//     SetServiceOptions' service replacement — a swap can never be
 //     silently reverted by a concurrent service rebuild. Readers never
 //     block on a swap: queries in flight hold the old snapshot alive
 //     through shared ownership, and no torn state exists — a query sees
@@ -26,6 +32,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -149,8 +156,10 @@ class Database {
   /// Ingest calls all land (in some order) rather than overwriting each
   /// other. When the resulting delta reaches
   /// DatabaseOptions::compact_delta_trees, a background compaction is
-  /// scheduled. NotFound if `name` is not attached; InvalidArgument for an
-  /// empty batch.
+  /// scheduled. NotFound if `name` is not attached, or is detached before
+  /// the batch publishes (its WAL record is then rolled back, and a
+  /// corpus attached anew under the name never sees the batch);
+  /// InvalidArgument for an empty batch.
   Status Ingest(const std::string& name, Corpus trees);
 
   /// Synchronously merges corpus `name`'s delta into its base and
@@ -203,76 +212,79 @@ class Database {
                                        service::QueryContext ctx = {});
 
  private:
-  std::shared_ptr<service::QueryService> Resolve(const std::string& name) const;
-  /// The per-corpus ingest lock (created on first use), or null if `name`
-  /// is not attached. Serializes the read-append-publish sequence of
-  /// Ingest and Compact against each other, per corpus — never against
-  /// queries, and never across corpora.
-  std::shared_ptr<std::mutex> IngestMutexFor(const std::string& name);
-  /// The corpus's live WAL handle, or null (not attached / no wal_dir).
-  std::shared_ptr<Wal> WalFor(const std::string& name) const;
-  /// Compact's body for attachment `generation` of `name`; also the
-  /// background compactor's per-item work. Every outcome (either entry
-  /// point) is recorded in that attachment's health, and nowhere else.
-  Status CompactInternal(const std::string& name, uint64_t generation);
-  /// NotFound once `generation` is no longer `name`'s attachment.
-  Status CompactOnce(const std::string& name, uint64_t generation);
-  /// Enqueues `name`'s attachment `generation` for the background
-  /// compactor (deduplicated), lazily starting the compactor thread on
-  /// first use.
-  void ScheduleCompaction(const std::string& name, uint64_t generation);
-  void CompactorLoop();
+  /// One attach of a name, from Attach to Detach. Every per-corpus piece
+  /// of state lives here, so an operation that resolved its entry once
+  /// works on that attachment only: "still current" is
+  /// `catalog_[name] == entry`, checked under mu_ at each publication,
+  /// and a detached entry stays valid (just unlisted) for whoever still
+  /// holds it.
+  struct Entry {
+    Entry(std::string name, std::unique_ptr<Wal> wal)
+        : name(std::move(name)), wal(std::move(wal)) {}
 
-  // Guards catalog_, attachments_, options_ and options_version_, and
-  // serializes snapshot publication with catalog replacement; never held
-  // across queries or pool lifetimes. Lock order: compact_mu_ before mu_.
-  mutable std::mutex mu_;
-  DatabaseOptions options_;
-  /// Bumped by SetServiceOptions; Attach re-checks it before inserting a
-  /// service built unlocked, so a freshly attached corpus can never serve
-  /// on options that were replaced while its pool was being built.
-  uint64_t options_version_ = 0;
-  std::unordered_map<std::string, std::shared_ptr<service::QueryService>>
-      catalog_;
-  /// Per-corpus ingest locks (see IngestMutexFor), guarded by mu_ and held
-  /// as shared_ptr so a lock stays valid across a concurrent Detach.
-  std::unordered_map<std::string, std::shared_ptr<std::mutex>> ingest_mu_;
-  /// Live WAL handles (only with DatabaseOptions::wal_dir), guarded by mu_
-  /// for map shape; the Wal itself is internally synchronized and shared,
-  /// so an in-flight Ingest keeps its handle across a concurrent Detach.
-  std::unordered_map<std::string, std::shared_ptr<Wal>> wal_;
-
-  /// One attach of a name, from Attach to Detach. The generation tells
-  /// attachments of one name apart (services do not: SetServiceOptions
-  /// replaces them), so a compaction that outlives a Detach can neither
-  /// write its outcome onto, nor re-queue itself for, a later attachment
-  /// under the same name.
-  struct Attachment {
-    uint64_t generation = 0;
-    /// Compaction health: failures are counted rather than dropped on the
-    /// floor; the compactor retries with capped backoff, and a later
-    /// Ingest reschedules regardless.
+    const std::string name;
+    /// Live WAL handle (only with DatabaseOptions::wal_dir), fixed at
+    /// attach; internally synchronized.
+    const std::unique_ptr<Wal> wal;
+    /// Serializes the read-append-publish sequence of Ingest and
+    /// compaction against each other — never against queries, and never
+    /// across corpora.
+    std::mutex ingest_mu;
+    /// Guarded by mu_: SetServiceOptions replaces it.
+    std::shared_ptr<service::QueryService> service;
+    /// Compaction health, guarded by mu_: failures are counted rather
+    /// than dropped on the floor; the compactor retries with capped
+    /// backoff, and a later Ingest reschedules regardless.
     uint64_t compaction_failures = 0;
     /// Cleared by a clean compaction, in the critical section that
     /// publishes its snapshot: List() never sees the delta gone while an
     /// earlier attempt's error still stands.
     std::string last_compaction_error;
   };
-  /// One entry per catalog_ entry, guarded by mu_.
-  std::unordered_map<std::string, Attachment> attachments_;
-  uint64_t last_generation_ = 0;
-  /// `name`'s attachment if `generation` is still current, else null.
-  /// Requires mu_.
-  Attachment* AttachmentOf(const std::string& name, uint64_t generation);
+
+  /// `name`'s entry; NotFound if it is not attached.
+  Result<std::shared_ptr<Entry>> Find(const std::string& name) const;
+  std::shared_ptr<service::QueryService> Resolve(const std::string& name) const;
+  /// Whether `entry` is still `catalog_`'s entry for its name. Requires mu_.
+  bool IsCurrent(const Entry& entry) const;
+  /// `entry`'s current snapshot; NotFound once it is detached.
+  Result<SnapshotPtr> CurrentSnapshot(const Entry& entry) const;
+  /// The locked publish step of Reload, Ingest and compaction: publishes
+  /// `next` if `entry` is still attached and still serves `from`, and
+  /// runs `also` in the same critical section. NotFound once detached;
+  /// false, publishing nothing, if a Swap or Reload replaced `from`.
+  Result<bool> Publish(Entry& entry, const SnapshotPtr& from,
+                       SnapshotPtr next,
+                       const std::function<void()>& also = {});
+  /// Compact's body; also the background compactor's per-item work. Every
+  /// outcome (either entry point) is recorded in the entry's health.
+  Status CompactInternal(Entry& entry);
+  Status CompactOnce(Entry& entry);
+  /// Enqueues `entry` for the background compactor (deduplicated), lazily
+  /// starting the compactor thread on first use.
+  void ScheduleCompaction(const std::shared_ptr<Entry>& entry);
+  void CompactorLoop();
+
+  // Guards catalog_, every entry's service and health, options_ and
+  // options_version_, and serializes snapshot publication with service
+  // replacement; never held across queries or pool lifetimes, and no
+  // entry's last reference drops under it. Lock order: compact_mu_
+  // before mu_.
+  mutable std::mutex mu_;
+  DatabaseOptions options_;
+  /// Bumped by SetServiceOptions; Attach re-checks it before inserting a
+  /// service built unlocked, so a freshly attached corpus can never serve
+  /// on options that were replaced while its pool was being built.
+  uint64_t options_version_ = 0;
+  std::unordered_map<std::string, std::shared_ptr<Entry>> catalog_;
 
   /// One unit of background-compaction work. A failed attempt is re-queued
-  /// with doubling backoff up to kMaxCompactAttempts, while its attachment
-  /// is still current; after that the delta simply stays live, the
-  /// failure stays visible in List(), and a later Ingest reschedules from
-  /// attempt zero.
+  /// with doubling backoff up to kMaxCompactAttempts, while its entry is
+  /// still attached; after that the delta simply stays live, the failure
+  /// stays visible in List(), and a later Ingest reschedules from attempt
+  /// zero. Weak: a queued task never keeps a detached corpus alive.
   struct CompactTask {
-    std::string name;
-    uint64_t generation = 0;
+    std::weak_ptr<Entry> entry;
     int attempt = 0;
     std::chrono::steady_clock::time_point ready;
   };

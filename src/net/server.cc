@@ -516,14 +516,14 @@ bool NetServer::DispatchFrame(const std::shared_ptr<Conn>& conn, Frame frame) {
   return true;
 }
 
-void NetServer::SendEnd(const std::shared_ptr<Conn>& conn, uint32_t request_id,
-                        const Status& status, uint64_t total_rows) {
+std::vector<uint8_t> NetServer::EndFrame(uint32_t request_id,
+                                         const Status& status,
+                                         uint64_t total_rows) {
   EndPayload end;
   end.code = WireCodeFromStatus(status);
   end.message = status.message();
   end.total_rows = total_rows;
-  std::vector<uint8_t> payload = EncodeEnd(end);
-  conn->EnqueueControl(BuildFrame(MsgType::kStreamEnd, request_id, payload));
+  return BuildFrame(MsgType::kStreamEnd, request_id, EncodeEnd(end));
 }
 
 void NetServer::HandlePrepare(const std::shared_ptr<Conn>& conn,
@@ -536,13 +536,11 @@ void NetServer::HandlePrepare(const std::shared_ptr<Conn>& conn,
     ++stats_.prepares;
   }
   std::shared_ptr<service::QueryService> service = db_->service(query.corpus);
-  if (service == nullptr) {
-    SendEnd(conn, request_id,
-            Status::NotFound("corpus not attached: " + query.corpus), 0);
-    return;
-  }
-  auto plan = service->GetPlan(query.query);
-  SendEnd(conn, request_id, plan.status(), 0);
+  const Status status =
+      service == nullptr
+          ? Status::NotFound("corpus not attached: " + query.corpus)
+          : service->GetPlan(query.query).status();
+  conn->EnqueueControl(EndFrame(request_id, status, 0));
 }
 
 void NetServer::StartExecute(const std::shared_ptr<Conn>& conn,
@@ -610,16 +608,11 @@ void NetServer::StartExecute(const std::shared_ptr<Conn>& conn,
   // NOTE: captures only shared state — never `this`; the server may be
   // gone (post-Stop) by the time a straggling query resolves.
   ctx.done = [conn, wakeup, req, request_id](const Status& status) {
-    uint64_t rows = req->rows.load(std::memory_order_relaxed);
-    EndPayload end;
-    end.code = WireCodeFromStatus(status);
-    end.message = status.message();
-    end.total_rows = rows;
-    std::vector<uint8_t> payload = EncodeEnd(end);
-    std::vector<uint8_t> bytes;
-    bytes.reserve(kFrameHeaderBytes + payload.size());
-    AppendFrame(MsgType::kStreamEnd, request_id, payload, &bytes);
+    std::vector<uint8_t> bytes = EndFrame(
+        request_id, status, req->rows.load(std::memory_order_relaxed));
     {
+      // Unlisting the request and queueing its STREAM_END are one step:
+      // the loop never sees the request gone with its end still unsent.
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->inflight.erase(request_id);
       if (!conn->closed) {

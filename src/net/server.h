@@ -128,9 +128,10 @@ class NetServer {
   /// requests and marks it close-after-flush.
   void SendFatalError(const std::shared_ptr<Conn>& conn, WireCode code,
                       const std::string& message);
-  /// Queues a request-scoped STREAM_END carrying `status`.
-  void SendEnd(const std::shared_ptr<Conn>& conn, uint32_t request_id,
-               const Status& status, uint64_t total_rows);
+  /// Encodes a request-scoped STREAM_END frame carrying `status`.
+  static std::vector<uint8_t> EndFrame(uint32_t request_id,
+                                       const Status& status,
+                                       uint64_t total_rows);
   /// Reads, parses and dispatches what it can; returns false if the
   /// connection must be torn down.
   bool HandleReadable(const std::shared_ptr<Conn>& conn);

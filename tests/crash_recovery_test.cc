@@ -11,16 +11,21 @@
 //
 // Also covered here: failed-fsync ingests do not publish, background
 // compaction failures are surfaced (and retried) instead of dropped,
-// and Detach purges pending compaction work and health for the name.
+// Detach purges pending compaction work and health for the name, and an
+// Ingest that outlives a Detach never lands in a later attachment under
+// the same name.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -296,7 +301,13 @@ TEST(CrashRecovery, CompactionFailureSurfacesInListAndClears) {
     ScopedIoHooks install(&hooks);
     ASSERT_FALSE(db.Compact(kName).ok());
   }
+  // Health belongs to the attachment, not to its service: a service
+  // rebuild (the ":threads N" path) keeps it.
+  service::QueryServiceOptions rebuilt = db.options().service;
+  rebuilt.threads = 1;
+  db.SetServiceOptions(rebuilt);
   db::CorpusInfo info = InfoFor(db, kName);
+  EXPECT_EQ(info.threads, 1);
   EXPECT_GE(info.compaction_failures, 1u);
   EXPECT_FALSE(info.last_compaction_error.empty());
   EXPECT_EQ(info.delta_trees, static_cast<size_t>(kBatchTrees));
@@ -397,6 +408,81 @@ TEST(CrashRecovery, DetachPurgesPendingCompactionAndHealth) {
   EXPECT_EQ(info.compaction_failures, 0u);
   EXPECT_TRUE(info.last_compaction_error.empty());
   EXPECT_EQ(info.trees, static_cast<size_t>(kBaseTrees / 2));
+}
+
+TEST(CrashRecovery, IngestHeldAcrossDetachAndReattachIsRefused) {
+  // An Ingest that resolved its corpus before a Detach must not publish
+  // into a corpus attached anew under the same name, nor leave a record
+  // in the log that the new attachment's next batch would collide with.
+  TempDir dir;
+  const std::string src = dir.File("second.mrg");
+  const int second_trees = 20;
+  ASSERT_TRUE(
+      SaveBracketFile(testing::RandomCorpus(kBaseSeed + 1, second_trees), src)
+          .ok());
+  db::DatabaseOptions dopt;
+  dopt.wal_dir = dir.File("wal");
+  dopt.compact_delta_trees = 0;
+  db::Database db(dopt);
+  ASSERT_TRUE(
+      db.OpenCorpus(kName, testing::RandomCorpus(kBaseSeed, kBaseTrees)).ok());
+
+  // Hold the first WAL append at its start until released.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool released = false;
+  bool first = true;
+  IoHooks hooks;
+  hooks.on_point = [&](std::string_view point) {
+    if (point != "wal:append:start") return false;
+    std::unique_lock<std::mutex> lock(mu);
+    if (!first) return false;
+    first = false;
+    held = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+    return false;
+  };
+  Status held_status;
+  {
+    ScopedIoHooks install(&hooks);
+    std::thread ingest([&] {
+      held_status =
+          db.Ingest(kName, testing::RandomCorpus(kBatchSeed, 7));
+    });
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return held; });
+    }
+    // EXPECT, not ASSERT: the held thread must be released either way.
+    EXPECT_TRUE(db.Detach(kName).ok());
+    EXPECT_TRUE(db.Open(kName, src).ok());
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+    ingest.join();
+  }
+  EXPECT_TRUE(held_status.IsNotFound()) << held_status.ToString();
+  db::CorpusInfo info = InfoFor(db, kName);
+  EXPECT_EQ(info.trees, static_cast<size_t>(second_trees));
+  EXPECT_EQ(info.wal_last_lsn, 0u);
+
+  // The new attachment's own batch is acknowledged, and a reopen of the
+  // log serves exactly its base plus that batch.
+  ASSERT_TRUE(
+      db.Ingest(kName, testing::RandomCorpus(kBatchSeed + 1, kBatchTrees))
+          .ok());
+  info = InfoFor(db, kName);
+  EXPECT_EQ(info.trees, static_cast<size_t>(second_trees + kBatchTrees));
+  EXPECT_EQ(info.wal_last_lsn, 1u);
+
+  db::Database recovered(dopt);
+  ASSERT_TRUE(recovered.Open(kName, src).ok());
+  EXPECT_EQ(InfoFor(recovered, kName).trees,
+            static_cast<size_t>(second_trees + kBatchTrees));
 }
 
 }  // namespace

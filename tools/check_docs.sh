@@ -13,10 +13,12 @@
 #      that skip the spec.
 #
 #   3. docs/OPERATIONS.md's counter tables are the glossaries of the
-#      stats structs: every uint64_t field of sql::ExecStats
-#      (src/sql/executor.h) must be named in the counter column of the
-#      "Executor" table, and every uint64_t field of service::ServiceStats
-#      (src/service/query_service.h) in the "Service" table; every
+#      stats structs: every uint64_t field of net::NetStats
+#      (src/net/server.h) must be named in the counter column of the
+#      "Network" table, of service::ServiceStats
+#      (src/service/query_service.h) in the "Service" table, of
+#      sql::ExecStats (src/sql/executor.h) in the "Executor" table, and
+#      of db::CorpusInfo (src/db/database.h) in the "Catalog" table; every
 #      backticked name in those columns must still be a field of its
 #      struct (`cache.*` names the field `cache`). Catches counters added
 #      without a gloss and glosses left behind by deletions.
@@ -118,8 +120,10 @@ check_gloss() {
   done
 }
 
-check_gloss ExecStats src/sql/executor.h Executor
+check_gloss NetStats src/net/server.h Network
 check_gloss ServiceStats src/service/query_service.h Service
+check_gloss ExecStats src/sql/executor.h Executor
+check_gloss CorpusInfo src/db/database.h Catalog
 
 if [ "$fail" -ne 0 ]; then
   say ""
